@@ -36,7 +36,7 @@ def entry() -> Any:
     from pdf_parser_ray.pipelines.extract import extract_dir
 
     pages_dir = _pages_dir_for("/root/testdata/sf0.001")
-    ds = extract_dir(pages_dir, batch_size=32)
+    ds = extract_dir(pages_dir)
     # drop nested columns for a stable, driver-friendly schema
     return ds.select_columns(
         ["url", "content_type", "encoding", "parser_key", "n_records",
@@ -47,7 +47,7 @@ def entry() -> Any:
 def _extract_pages(sf_dir: str):
     from pdf_parser_ray.pipelines.extract import extract_dir
 
-    ds = extract_dir(_pages_dir_for(sf_dir), batch_size=32)
+    ds = extract_dir(_pages_dir_for(sf_dir))
     return ds.select_columns(
         ["url", "content_type", "parser_key", "n_records", "content_sha256"]
     )
@@ -85,7 +85,7 @@ def _extract_records(sf_dir: str):
             }
         )
 
-    ds = extract_dir(_pages_dir_for(sf_dir), batch_size=32)
+    ds = extract_dir(_pages_dir_for(sf_dir))
     return ds.map_batches(explode, batch_format="pyarrow", zero_copy_batch=True)
 
 
@@ -94,7 +94,7 @@ def _extract_links(sf_dir: str):
     pairs) — oracled against the generator's planted golden links."""
     from pdf_parser_ray.pipelines.extract import extract_links_dir
 
-    return extract_links_dir(_pages_dir_for(sf_dir), batch_size=32)
+    return extract_links_dir(_pages_dir_for(sf_dir))
 
 
 def _outlink_stats(sf_dir: str):
@@ -111,7 +111,7 @@ def _extract_tables(sf_dir: str):
     against the generator's planted golden grids."""
     from pdf_parser_ray.pipelines.extract import extract_tables_dir
 
-    return extract_tables_dir(_pages_dir_for(sf_dir), batch_size=32)
+    return extract_tables_dir(_pages_dir_for(sf_dir))
 
 
 def _extract_spans(sf_dir: str):
@@ -149,7 +149,7 @@ def _extract_spans(sf_dir: str):
             }
         )
 
-    ds = extract_dir(_pages_dir_for(sf_dir), batch_size=32)
+    ds = extract_dir(_pages_dir_for(sf_dir))
     return ds.map_batches(explode, batch_format="pyarrow", zero_copy_batch=True)
 
 
@@ -159,7 +159,7 @@ def _url_domain_stats(sf_dir: str):
     the driver's hash gate covers extraction volume per domain."""
     from pdf_parser_ray.pipelines.extract import domain_stats
 
-    return domain_stats(_pages_dir_for(sf_dir), batch_size=32)
+    return domain_stats(_pages_dir_for(sf_dir))
 
 
 def _line_dedup(sf_dir: str):
@@ -167,7 +167,7 @@ def _line_dedup(sf_dir: str):
     output; hash-matched end-to-end via md5 of each cleaned page."""
     from pdf_parser_ray.pipelines.extract import line_dedup
 
-    return line_dedup(_pages_dir_for(sf_dir), batch_size=32)
+    return line_dedup(_pages_dir_for(sf_dir))
 
 
 def _host_page_cap(sf_dir: str):
@@ -176,7 +176,7 @@ def _host_page_cap(sf_dir: str):
     the generator goldens."""
     from pdf_parser_ray.pipelines.extract import host_page_cap
 
-    return host_page_cap(_pages_dir_for(sf_dir), batch_size=32)
+    return host_page_cap(_pages_dir_for(sf_dir))
 
 
 def _curate_pages(sf_dir: str):
@@ -185,7 +185,7 @@ def _curate_pages(sf_dir: str):
     windows + word aggregates over the generator goldens."""
     from pdf_parser_ray.pipelines.curate import curate_pages
 
-    return curate_pages(_pages_dir_for(sf_dir), batch_size=32)
+    return curate_pages(_pages_dir_for(sf_dir))
 
 
 def _canonical_urls(sf_dir: str):
@@ -229,9 +229,7 @@ def _extract_dedup(sf_dir: str):
 
     from pdf_parser_ray.pipelines.extract import read_extracted
 
-    ds = read_extracted(
-        _pages_dir_for(sf_dir), ["content_sha256", "url"], batch_size=32
-    )
+    ds = read_extracted(_pages_dir_for(sf_dir), ["content_sha256", "url"])
     return ds.groupby("content_sha256").aggregate(Min("url", alias_name="url"))
 
 

@@ -32,9 +32,6 @@ NUM_CPUS = int(os.environ.get("RAY_GRAFT_CPUS", "32"))
 CACHE_ROOT = "/tmp/pdf_parser_ray_bench"
 REPLICATE = int(os.environ.get("GRAFT_BENCH_REPLICATE", "8"))
 PAGE_SCALE = int(os.environ.get("GRAFT_BENCH_PAGE_SCALE", "1"))
-# 128-row batches amortize per-UDF-call overhead at fixture page sizes
-# (~2 KB); scale this down as payload size grows (rows x payload <~ 8 MiB)
-BATCH_SIZE = int(os.environ.get("GRAFT_BENCH_BATCH_SIZE", "128"))
 
 
 def _warm_page_cache(path: str) -> int:
@@ -169,7 +166,7 @@ def run_bench() -> dict:
     # read 5-10x slower than the pipeline's real throughput; set
     # GRAFT_BENCH_WARM_FULL=0 to measure the cold path instead.
     if os.environ.get("GRAFT_BENCH_WARM_FULL", "1") != "0":
-        extract_dir(pages_dir, batch_size=BATCH_SIZE).count()
+        extract_dir(pages_dir).count()
         # stage the shared extracted artifact untimed: in production
         # extraction is its own job step writing parquet, and the
         # downstream family queries (url_domain_stats, line_dedup,
@@ -177,7 +174,7 @@ def run_bench() -> dict:
         # measures their own work, not a cache build
         from pdf_parser_ray.pipelines.extract import extracted_dir
 
-        extracted_dir(pages_dir, batch_size=BATCH_SIZE)
+        extracted_dir(pages_dir)
     else:
         import ray.data as rd
 
@@ -192,7 +189,7 @@ def run_bench() -> dict:
     best = None
     for _ in range(reps):
         t0 = time.perf_counter()
-        ds = extract_dir(pages_dir, batch_size=BATCH_SIZE)
+        ds = extract_dir(pages_dir)
         n_pages = ds.count()
         elapsed = time.perf_counter() - t0
         best = elapsed if best is None else min(best, elapsed)
@@ -478,7 +475,7 @@ def run_bench() -> dict:
         ("curate_pages", curate_pages),
     ):
         t = time.perf_counter()
-        make_pages(pages_dir, batch_size=BATCH_SIZE).count()
+        make_pages(pages_dir).count()
         timings[name] = time.perf_counter() - t
 
     t = time.perf_counter()

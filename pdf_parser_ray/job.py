@@ -2,9 +2,11 @@
 
     ray job submit -- python -m pdf_parser_ray.job \\
         --input /data/pages --output /data/extracted \\
-        --group-size 8 --batch-size 64 [--size-routing] [--format jsonl]
+        --group-size 8 --batch-size 64 [--format jsonl]
 
 Runs (or resumes) the extraction job with per-group lineage manifests.
+The fused extraction stage runs as stateless Ray tasks and isolates
+giant payloads by itself, so the job has no pool or skew options.
 ``--query NAME --sf-dir DIR`` runs any named table operator from
 ``pdf_parser_ray.registry`` instead (``--list-queries`` enumerates).
 Owns its Ray session (guarded init; the library itself never inits).
@@ -18,16 +20,15 @@ import sys
 
 
 def main(argv: list[str] | None = None) -> int:
+    from pdf_parser_ray.pipelines.extract import DEFAULT_BATCH_SIZE
+
     ap = argparse.ArgumentParser(prog="pdf_parser_ray.job")
     ap.add_argument("--input", help="directory of pages parquet shards")
     ap.add_argument("--output", help="output directory (resumable layout)")
     ap.add_argument("--group-size", type=int, default=8)
-    ap.add_argument("--batch-size", type=int, default=64)
+    ap.add_argument("--batch-size", type=int, default=DEFAULT_BATCH_SIZE)
     ap.add_argument("--num-cpus", type=int, default=None,
                     help="only for local testing; omit on a real cluster")
-    ap.add_argument("--size-routing", type=int, default=None, metavar="BYTES",
-                    help="route payloads over BYTES to a dedicated "
-                         "1-row-per-task branch (skew handling)")
     ap.add_argument("--curate", action="store_true",
                     help="after extraction, run the page-curation "
                          "composition (exact dedup + host cap + quality "
@@ -113,7 +114,6 @@ def main(argv: list[str] | None = None) -> int:
         args.output,
         group_size=args.group_size,
         batch_size=args.batch_size,
-        size_routing_threshold=args.size_routing,
         output_format=args.format,
     )
 

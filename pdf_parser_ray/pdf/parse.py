@@ -362,6 +362,16 @@ class _Lexer:
                 b"\r", self.pos
             ):
                 self.pos += 1
+            # a direct /Length is exact when 'endstream' follows it
+            # after an optional EOL; trusting it keeps payload bytes that
+            # look like an EOL (an AES ciphertext ending in 0x0D)
+            length = out.get("Length")
+            if type(length) is int and length >= 0:
+                m = self._ENDSTREAM_RE.match(self.data, self.pos + length)
+                if m:
+                    raw = self.data[self.pos : self.pos + length]
+                    self.pos = m.end()
+                    return Stream(out, raw)
             end = self.data.find(b"endstream", self.pos)
             if end < 0:
                 raise PDFSyntaxError("unterminated stream")
@@ -474,6 +484,7 @@ class _Lexer:
 
     _NUM_RE = re.compile(rb"[+-]?(?:\d+\.\d*|\.\d+|\d+)")
     _REF_RE = re.compile(rb"(\d+)\s+(\d+)\s+R\b")
+    _ENDSTREAM_RE = re.compile(rb"(?:\r\n|\r|\n)?endstream")
 
     def _parse_number_or_ref(self) -> Any:
         m = self._REF_RE.match(self.data, self.pos)
@@ -1400,11 +1411,6 @@ def _form_xobjects(
             matrix=mat,
         )
     return out
-
-
-def _page_fonts(doc: "PDFDocument", page: dict) -> dict[str, FontInfo]:
-    """Font name -> FontInfo for a page (inherited /Resources)."""
-    return _fonts_from_resources(doc, _page_resources(doc, page))
 
 
 def _fonts_from_resources(doc: "PDFDocument", res: dict) -> dict[str, FontInfo]:

@@ -31,6 +31,7 @@ import ray.data as rd
 from ray.data.aggregate import Count, Min, Sum
 
 from .analysis import _LANG_PROFILES, _TOKEN_RE
+from .extract import DEFAULT_BATCH_SIZE
 from .io_util import arrow_udf, read_parquet_clean
 from .dedup import (
     _COARSE_BUCKETS,
@@ -378,7 +379,7 @@ def curate_documents(
 
 
 def curate_pages(
-    pages_dir: str, *, cap: int = 3, batch_size: int = 64
+    pages_dir: str, *, cap: int = 3, batch_size: int = DEFAULT_BATCH_SIZE
 ) -> rd.Dataset:
     """(url, verdict): the end-to-end page-curation composition over the
     extraction output — exact content dedup (keep the minimum url per

@@ -1,17 +1,15 @@
-"""Flagship pipeline: read pages parquet -> fused extraction actor pool
+"""Flagship pipeline: read pages parquet -> fused extraction tasks
 -> (optionally) partitioned parquet out.
 
 Pure ``Dataset`` composition — lazy, streaming, no mid-pipeline
 materialization.  Scale knobs:
 
 * ``batch_size`` is small (default 64 rows) because the ``html`` payload
-  column is wide; batch bytes ≈ rows × mean payload, and the actor holds
-  one decoded document at a time.
-* ``concurrency`` sizes the extraction actor pool.  Leave 1-2 CPUs of
-  headroom for the read/write stages so the pipeline doesn't serialize
-  (a pool that reserves every CPU starves I/O).
+  column is wide; batch bytes ≈ rows × mean payload, and the stage
+  decodes one document at a time (giant payloads on their own slice,
+  see stages/extract.py).
 * Reads prune to the five input columns explicitly; extraction drops the
-  payload column so everything downstream of the actor pool is narrow.
+  payload column so everything downstream of the stage is narrow.
 """
 
 from __future__ import annotations
@@ -24,7 +22,7 @@ import ray.data as rd
 
 from .io_util import arrow_udf, read_parquet_clean
 
-from ..stages.extract import ExtractPages, extract_batch
+from ..stages.extract import extract_batch
 
 PAGES_COLUMNS = ["url", "warc_ts", "html", "text", "lang"]
 DEFAULT_BATCH_SIZE = 64
@@ -89,40 +87,21 @@ def read_pages(paths: str | list[str], **read_kwargs: Any) -> rd.Dataset:
 
 
 def build_extraction_pipeline(
-    pages: rd.Dataset,
-    *,
-    concurrency: int | tuple[int, int] | None = None,
-    batch_size: int = DEFAULT_BATCH_SIZE,
+    pages: rd.Dataset, *, batch_size: int = DEFAULT_BATCH_SIZE
 ) -> rd.Dataset:
-    """Default: stateless tasks (warm module state reused across tasks by
-    Ray's persistent worker processes; fully elastic scheduling).  Pass
-    ``concurrency`` to switch to a fixed actor pool — only worth it for
-    extractors with real per-pool construction cost."""
-    if concurrency is None:
-        return pages.map_batches(
-            extract_batch,
-            batch_format="pyarrow",
-            zero_copy_batch=True,
-            batch_size=batch_size,
-        )
+    """The fused extraction stage as stateless tasks: warm module state
+    is reused across tasks by Ray's persistent worker processes, and
+    scheduling stays fully elastic."""
     return pages.map_batches(
-        ExtractPages,
+        extract_batch,
         batch_format="pyarrow",
         zero_copy_batch=True,
         batch_size=batch_size,
-        concurrency=concurrency,
     )
 
 
-def extract_dir(
-    pages_dir: str,
-    *,
-    concurrency: int | tuple[int, int] | None = None,
-    batch_size: int = DEFAULT_BATCH_SIZE,
-) -> rd.Dataset:
-    return build_extraction_pipeline(
-        read_pages(pages_dir), concurrency=concurrency, batch_size=batch_size
-    )
+def extract_dir(pages_dir: str, *, batch_size: int = DEFAULT_BATCH_SIZE) -> rd.Dataset:
+    return build_extraction_pipeline(read_pages(pages_dir), batch_size=batch_size)
 
 
 def extract_links_dir(

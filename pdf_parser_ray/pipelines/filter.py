@@ -445,18 +445,13 @@ KNUTH = 2654435761  # Knuth multiplicative hash constant (2^32 / phi)
 SAMPLE_MOD = 1 << 32
 
 
-def sample_keep(doc_id: int, permille: int) -> bool:
-    """Deterministic corpus sampling: keep iff the multiplicative hash
-    of doc_id falls in the first permille/1000 of the 32-bit ring.
-    Pure integer arithmetic so the SQL oracle is exact, uniform enough
-    for stratification, and stable across runs/machines (no RNG)."""
-    return (doc_id * KNUTH) % SAMPLE_MOD * 1000 < SAMPLE_MOD * permille
-
-
 def sample_documents(sf_dir: str, permille: int = 200) -> rd.Dataset:
     """(source, n_sampled, total_chars): a deterministic ~20% hash
     sample of the corpus, aggregated per source — the
-    sampling-for-eval / debugging op every corpus pipeline needs.
+    sampling-for-eval / debugging op every corpus pipeline needs.  A doc
+    is kept iff the multiplicative hash of doc_id falls in the first
+    permille/1000 of the 32-bit ring: pure integer arithmetic, so the
+    SQL oracle is exact and the sample is stable with no RNG.
     Single pass + tiny groupby (per-batch filter, no shuffle of kept
     rows beyond the grouped partials)."""
     from ray.data.aggregate import Count, Sum

@@ -1,7 +1,7 @@
 """The fused extraction stage: raw page bytes -> extracted text, spans,
 parser key, normalized records.
 
-One ``map_batches`` actor stage does charset decode + content-type
+One ``map_batches`` task stage does charset decode + content-type
 detection + HTML-or-PDF extraction + source detection + record
 extraction + normalization in a single pass over each row
 (SURVEY.md §3.4).  Fusing matters at scale: the ``html`` payload — by
@@ -9,11 +9,13 @@ far the widest column — is read from the zero-copy Arrow batch exactly
 once and never re-shipped between stages (the reference parses every
 document twice per request, SURVEY.md §3.1; we touch the bytes once).
 
-The stage is a callable *class* so Ray runs it as an actor pool
-(``concurrency=N``): all rule-set/detection regexes are compiled once
-per actor process at import, not per batch.  Everything is a pure
-function of the batch (year fallback comes from ``warc_ts``, not the
-wall clock), so task retries are byte-identical.
+The stage is a plain function run as stateless Ray tasks: all
+rule-set/detection regexes are compiled once per worker process at
+import, not per batch.  Byte-size skew is handled here, by the data:
+a row whose payload exceeds ``GIANT_BYTES`` is extracted on its own
+1-row slice, so a task never holds more than one decoded giant.
+Everything is a pure function of the batch (year fallback comes from
+``warc_ts``, not the wall clock), so task retries are byte-identical.
 """
 
 from __future__ import annotations
@@ -21,6 +23,7 @@ from __future__ import annotations
 import hashlib
 import zlib
 
+import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
 
@@ -31,6 +34,10 @@ from ..functions.scalars import text_to_lines
 from ..html.extract import extract_main_text
 from ..pdf.parse import extract_page_texts, is_pdf
 from ..schemas import EXTRACTED_SCHEMA, NUM_BUCKETS, RECORD_TYPE, SPAN_TYPE
+
+# payloads over this many bytes are extracted one row at a time
+GIANT_BYTES = 8 * 1024 * 1024
+
 
 def url_bucket(url: str, num_buckets: int = NUM_BUCKETS) -> int:
     """Stable url hash bucket — the single partition key reused for
@@ -79,16 +86,30 @@ def extract_one(payload: bytes, fallback_year: int) -> dict:
 
 def extract_batch(batch: pa.Table) -> pa.Table:
     """Stateless batch UDF: ``pa.Table`` in (pages schema) ->
-    ``pa.Table`` out (EXTRACTED_SCHEMA).  The wide ``html`` column is
-    consumed here and dropped from the output.
+    ``pa.Table`` out (EXTRACTED_SCHEMA), rows in input order.  The wide
+    ``html`` column is consumed here and dropped from the output.
 
-    This is the default execution shape: all warm state (compiled
-    detection/rule-set/scalar regexes) lives at module scope, paid once
-    per Ray *worker process* and reused across every task the worker
-    runs — cheaper and more elastic than an actor pool, which pays
-    process spin-up per pipeline execution.  Use ``ExtractPages`` (the
-    actor form) when per-stage state genuinely must be constructed per
-    pool (e.g. a future model-scoring extractor)."""
+    A batch holding a giant payload (> ``GIANT_BYTES``) is split at each
+    giant row, so the Python heap holds at most one giant's decode at a
+    time instead of every giant in the batch."""
+    giant = pc.fill_null(
+        pc.greater(pc.binary_length(batch.column("html")), GIANT_BYTES), False
+    )
+    if not pc.any(giant).as_py():
+        return _extract_rows(batch)
+    pieces = []
+    start = 0
+    for i in np.flatnonzero(giant.to_numpy(zero_copy_only=False)).tolist():
+        if i > start:
+            pieces.append(_extract_rows(batch.slice(start, i - start)))
+        pieces.append(_extract_rows(batch.slice(i, 1)))
+        start = i + 1
+    if start < batch.num_rows:
+        pieces.append(_extract_rows(batch.slice(start)))
+    return pa.concat_tables(pieces)
+
+
+def _extract_rows(batch: pa.Table) -> pa.Table:
     urls = batch.column("url").to_pylist()
     payloads = batch.column("html").to_pylist()
     # vectorized year-of-timestamp for the deterministic date fallback
@@ -130,11 +151,3 @@ def extract_batch(batch: pa.Table) -> pa.Table:
         },
         schema=EXTRACTED_SCHEMA,
     )
-
-
-class ExtractPages:
-    """Actor-pool form of :func:`extract_batch` — same contract, state
-    constructed per actor (for rule-sets that need per-pool setup)."""
-
-    def __call__(self, batch: pa.Table) -> pa.Table:
-        return extract_batch(batch)

@@ -27,12 +27,17 @@ from __future__ import annotations
 
 import json
 import os
+import shutil
 import time
 import uuid
 
 import pyarrow.compute as pc
 
-from ..pipelines.extract import build_extraction_pipeline, read_pages
+from ..pipelines.extract import (
+    DEFAULT_BATCH_SIZE,
+    build_extraction_pipeline,
+    read_pages,
+)
 
 
 def _atomic_write_json(path: str, payload: dict) -> None:
@@ -104,17 +109,11 @@ def run_job(
     out_dir: str,
     *,
     group_size: int = 8,
-    concurrency: int | tuple[int, int] | None = None,
-    batch_size: int = 64,
-    size_routing_threshold: int | None = None,
+    batch_size: int = DEFAULT_BATCH_SIZE,
     output_format: str = "parquet",
 ) -> dict:
     """Run (or resume) the extraction job over a directory of pages
     parquet shards.  Returns a summary with per-group metrics.
-
-    ``size_routing_threshold`` switches to the byte-size-aware plan
-    (giant rows on a dedicated 1-row-per-task branch, see
-    stages/skew.py) — use for corpora with multi-hundred-MB documents.
 
     ``output_format="jsonl"`` writes newline-delimited JSON instead of
     parquet — the reference service's native output shape (app.py
@@ -126,8 +125,6 @@ def run_job(
     # sweep tmp dirs left by crashed writes — resume only trusts
     # manifests, so these are dead weight that would otherwise
     # accumulate a fresh uuid-suffixed dir per crashed rerun
-    import shutil
-
     for name in os.listdir(out_dir):
         if name.startswith("_tmp.shard="):
             shutil.rmtree(os.path.join(out_dir, name), ignore_errors=True)
@@ -140,21 +137,13 @@ def run_job(
             summary["skipped"] += 1
             continue
         t0 = time.perf_counter()
-        if size_routing_threshold is not None:
-            from ..stages.skew import extract_with_size_routing
-
-            ds = extract_with_size_routing(
-                read_pages(files),
-                threshold_bytes=size_routing_threshold,
-                small_batch_size=batch_size,
-            )
-        else:
-            ds = build_extraction_pipeline(
-                read_pages(files), concurrency=concurrency, batch_size=batch_size
-            )
+        ds = build_extraction_pipeline(read_pages(files), batch_size=batch_size)
 
         final_dir = os.path.join(out_dir, f"shard={gid:05d}")
         tmp_dir = os.path.join(out_dir, f"_tmp.shard={gid:05d}.{uuid.uuid4().hex[:8]}")
+        # Ray writes no directory for a 0-row group; made here, an empty
+        # input shard still commits an empty shard dir and its manifest
+        os.makedirs(tmp_dir)
         # the heavy write is distributed (workers stream blocks straight
         # to parquet/json); the driver never materializes the data
         if output_format == "jsonl":
@@ -182,8 +171,6 @@ def run_job(
                 for h in t.column("content_sha256").to_pylist():
                     hash_rollup ^= int(h[:16], 16)
         if os.path.isdir(final_dir):
-            import shutil
-
             shutil.rmtree(final_dir)
         os.replace(tmp_dir, final_dir)
 

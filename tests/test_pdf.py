@@ -53,6 +53,17 @@ class TestLexer:
         assert isinstance(obj, Stream)
         assert obj.data() == b"hello"
 
+    def test_direct_length_keeps_trailing_eol_bytes(self):
+        # payload bytes that look like an EOL belong to the stream when a
+        # direct /Length says so; without a usable /Length the scan
+        # still strips the EOL before 'endstream'
+        obj = self.parse(b"<< /Length 5 >>\nstream\nabcd\r\nendstream")
+        assert obj.raw == b"abcd\r"
+        obj = self.parse(b"<< /Length 99 >>\nstream\nabcd\r\nendstream")
+        assert obj.raw == b"abcd"
+        obj = self.parse(b"<< /Length 3 0 R >>\nstream\nabcd\r\nendstream")
+        assert obj.raw == b"abcd"
+
     def test_flate_stream(self):
         data = zlib.compress(b"payload")
         raw = b"<< /Length %d /Filter /FlateDecode >>\nstream\n" % len(data) + data + b"\nendstream"
@@ -649,6 +660,21 @@ class TestFilterAndAESForms:
         ikey = _hash_2b(b"", u[40:48])
         assert _aes_cbc(ikey, bytes(16), ue[:32], encrypt=False) == fkey
         assert fkey == hashlib.sha256(b"pdf_parser_ray_aes256_file_key").digest()
+
+    def test_aes_ciphertext_ending_in_cr(self):
+        # the writer emits '\nendstream', so a ciphertext ending in 0x0D
+        # looks like a CRLF EOL; only /Length keeps its last byte
+        from pdf_parser_ray.pdf.parse import extract_text
+
+        hits = 0
+        for i in range(400):
+            pages = [["Account Statement", f"01/02 COFFEE SHOP {i}.50"]]
+            pdf = build_pdf(pages, encrypt_aes=True)
+            if b"\r\nendstream" not in pdf:
+                continue
+            hits += 1
+            assert extract_text(pdf) == extract_text(build_pdf(pages)), i
+        assert hits
 
     def test_truncated_aes_stream_degrades_not_crashes(self):
         from pdf_parser_ray.pdf.parse import extract_text

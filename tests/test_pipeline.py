@@ -123,28 +123,6 @@ class TestExtraction:
         assert len(buckets) > 16  # spread over many buckets
 
 
-class TestActorPoolVariant:
-    def test_actor_pool_matches_stateless(self, ray_session, quiet_data_context, corpus):
-        import ray.data as rd
-
-        from pdf_parser_ray.pipelines.extract import build_extraction_pipeline, read_pages
-
-        pages_dir, _ = corpus
-        a = (
-            build_extraction_pipeline(read_pages(pages_dir))
-            .to_pandas()
-            .set_index("url")["content_sha256"]
-            .sort_index()
-        )
-        b = (
-            build_extraction_pipeline(read_pages(pages_dir), concurrency=2)
-            .to_pandas()
-            .set_index("url")["content_sha256"]
-            .sort_index()
-        )
-        assert a.equals(b)
-
-
 class TestReadGranularity:
     """read_pages must split a modest file set into row-sized tasks
     (~4k pages each): Ray's byte-based default left the 640k-page bench

@@ -111,6 +111,7 @@ class TestResume:
         proc = subprocess.Popen(
             cmd, cwd="/root/repo", env=env,
             stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL,
+            start_new_session=True,
         )
         try:
             deadline = time.time() + 120
@@ -126,6 +127,12 @@ class TestResume:
             if proc.poll() is None:
                 proc.send_signal(signal.SIGKILL)
             proc.wait()
+            # the dead job's Ray processes (its dashboard agent outlives
+            # the raylet) share its process group: reap them too
+            try:
+                os.killpg(proc.pid, signal.SIGKILL)
+            except ProcessLookupError:
+                pass
 
         done_before = {
             f: os.path.getmtime(os.path.join(mdir, f))
@@ -139,6 +146,27 @@ class TestResume:
         for f, mtime in done_before.items():
             assert os.path.getmtime(os.path.join(mdir, f)) == mtime
         assert read_all(out) == read_all(out_ref)
+
+    def test_empty_shard_commits_empty_group(
+        self, ray_session, quiet_data_context, pages_dir, tmp_path
+    ):
+        # Ray writes nothing for a 0-row group; the group must still
+        # commit an empty shard dir and a rows: 0 manifest
+        in_dir = tmp_path / "in"
+        in_dir.mkdir()
+        first = sorted(f for f in os.listdir(pages_dir) if f.endswith(".parquet"))[0]
+        t = pq.read_table(os.path.join(pages_dir, first))
+        pq.write_table(t, str(in_dir / "a.parquet"))
+        pq.write_table(t.slice(0, 0), str(in_dir / "b.parquet"))
+        from pdf_parser_ray.state.manifest import run_job
+
+        out = str(tmp_path / "out_empty")
+        summary = run_job(str(in_dir), out, group_size=1)
+        assert summary["ran"] == [0, 1] and summary["rows"] == t.num_rows
+        m = json.load(open(os.path.join(out, "_manifest", "00001.json")))
+        assert m["rows"] == 0 and m["records"] == 0
+        assert os.listdir(os.path.join(out, "shard=00001")) == []
+        assert run_job(str(in_dir), out, group_size=1)["skipped"] == 2
 
     def test_crash_mid_group_leaves_no_manifest(self, pages_dir, tmp_path):
         # a tmp dir without a manifest entry must not count as done

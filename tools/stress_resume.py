@@ -100,13 +100,19 @@ def main() -> int:
     # killed run: SIGKILL once ~half the groups have manifested
     t0 = time.perf_counter()
     proc = subprocess.Popen(job_cmd(kill_out), cwd="/root/repo", env=env,
-                            stdout=subprocess.DEVNULL)
+                            stdout=subprocess.DEVNULL, start_new_session=True)
     target = max(1, n_groups // 2)
     while proc.poll() is None and len(manifests(kill_out)) < target:
         time.sleep(0.2)
     if proc.poll() is None:
         proc.send_signal(signal.SIGKILL)
     proc.wait()
+    # the dead job's Ray processes (its dashboard agent outlives the
+    # raylet) share its process group: reap them too
+    try:
+        os.killpg(proc.pid, signal.SIGKILL)
+    except ProcessLookupError:
+        pass
     kill_wall = time.perf_counter() - t0
     done_before = manifests(kill_out)
     assert done_before, "kill landed before any group manifested"
