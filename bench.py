@@ -1,13 +1,15 @@
 #!/usr/bin/env python
 """Benchmark harness.
 
-Plain run: executes the headline pipelines over ``$GRAFT_SF_DIR``
-(default /root/testdata/sf0.1) under
-``ray.init(address="local", num_cpus=$RAY_GRAFT_CPUS or 32)`` and
-prints ONE JSON line::
+Plain run: times the extraction headline over the replicated bench
+corpus built from ``$GRAFT_SF_DIR`` (default /root/testdata/sf0.1),
+then every ``__ray_entry__.queries()`` entry over ``$GRAFT_SF_DIR``,
+under ``ray.init(address="local", num_cpus=$RAY_GRAFT_CPUS or 32)``,
+and prints ONE JSON line::
 
     {"metric": "extraction_wall_sec", "value": <headline sec>,
-     "unit": "sec", "queries": {...per-pipeline sec...},
+     "unit": "sec", "queries": {...per-query sec, plus "extract"...},
+     "rows": {...per-query row count...},
      "sf": "...", "num_cpus": N, "pages": N, "docs_per_sec": ...,
      "mb_per_sec": ...}
 
@@ -126,7 +128,6 @@ def run_bench() -> dict:
     ctx.execution_options.verbose_progress = False
 
     from pdf_parser_ray.fixtures.gen import synthesize_pages_ray
-    from pdf_parser_ray.pipelines import analysis, dedup, relational, similarity
     from pdf_parser_ray.pipelines.extract import extract_dir
 
     tag = os.path.basename(os.path.normpath(SF_DIR))
@@ -159,27 +160,11 @@ def run_bench() -> dict:
     cpu_calib_mt = round(_cpu_calibration_mt(), 2)
 
     # untimed warm-up: one full pass spins up every worker process, pays
-    # the per-worker package imports and OS page-cache fill once, so the
-    # measurement below is steady-state throughput (guide: "warm the OS
-    # page cache with one untimed read first").  Default ON — this VM
-    # shows minutes-long host-steal windows where a cold first pass can
-    # read 5-10x slower than the pipeline's real throughput; set
-    # GRAFT_BENCH_WARM_FULL=0 to measure the cold path instead.
-    if os.environ.get("GRAFT_BENCH_WARM_FULL", "1") != "0":
-        extract_dir(pages_dir).count()
-        # stage the shared extracted artifact untimed: in production
-        # extraction is its own job step writing parquet, and the
-        # downstream family queries (url_domain_stats, line_dedup,
-        # host_page_cap, curate_pages) READ it — the timed section
-        # measures their own work, not a cache build
-        from pdf_parser_ray.pipelines.extract import extracted_dir
-
-        extracted_dir(pages_dir)
-    else:
-        import ray.data as rd
-
-        rd.read_parquet(pages_dir, columns=["url"]).count()
-        from pdf_parser_ray.stages.extract import extract_batch as _warm  # noqa: F401
+    # the per-worker package imports and fills the OS page cache, so the
+    # measurement below is steady-state throughput — on a host with
+    # minutes-long steal windows a cold first pass can read 5-10x slower
+    # than the pipeline's real throughput
+    extract_dir(pages_dir).count()
 
     # headline: the flagship extraction pipeline, consumed by count()
     # (forces full execution, keeps the driver out of the data path).
@@ -195,292 +180,9 @@ def run_bench() -> dict:
         best = elapsed if best is None else min(best, elapsed)
     timings["extract"] = best
 
-    def timed(name: str, make):
-        t = time.perf_counter()
-        make(SF_DIR).count()
-        timings[name] = time.perf_counter() - t
-
-    if os.environ.get("GRAFT_BENCH_HEADLINE_ONLY"):
-        ray.shutdown()
-        return {
-            "metric": "extraction_wall_sec",
-            "value": round(timings["extract"], 3),
-            "unit": "sec",
-            "queries": {k: round(v, 3) for k, v in timings.items()},
-            "sf": SF_DIR,
-            "num_cpus": NUM_CPUS,
-            "cpu_calib_sec": cpu_calib,
-            "cpu_calib_mt_sec": cpu_calib_mt,
-            "pages": n_pages,
-            "docs_per_sec": round(n_pages / timings["extract"], 1),
-            "mb_per_sec": round(input_bytes / timings["extract"] / 1e6, 2),
-        }
-
-    from pdf_parser_ray.pipelines import filter as filter_ops
-
-    timed("exact_dedup", dedup.exact_dedup)
-    timed("substring_dedup", dedup.substring_dedup)
-    timed("minhash_dedup", dedup.minhash_dedup)
-    timed("incremental_dedup", dedup.incremental_dedup)
-    timed("simhash_dedup", dedup.simhash_dedup)
-    timed("embedding_dedup", dedup.embedding_dedup)
-    timed("knn_cosine", similarity.knn_cosine)
-    timed("token_counts", analysis.token_counts)
-    timed("quality_stats", analysis.quality_stats)
-    timed("lineitem_agg", relational.lineitem_agg)
-    timed("brand_revenue", relational.brand_revenue)
-    timed("supplier_value_by_nation", relational.supplier_value_by_nation)
-    timed("events_hourly", relational.events_hourly)
-    timed("quality_filter", filter_ops.quality_filter)
-    timed("ngram_stats", analysis.ngram_stats)
-    timed("error_attribution", relational.error_attribution)
-    timed("range_join_events", relational.range_join_events)
-    timed("bpe_token_counts", analysis.bpe_token_counts)
-    timed("unigram_logprob", analysis.unigram_logprob)
-
-    from pdf_parser_ray.pipelines import pack as pack_ops
-
-    timed("decontaminate", filter_ops.decontaminate)
-    timed("pack_sequences", pack_ops.pack_sequences)
-    timed("shuffle_shards", pack_ops.shuffle_shards)
-    timed("tfidf_scores", analysis.tfidf_scores)
-    timed("ccnet_buckets", analysis.ccnet_buckets)
-    timed("dsir_resample", analysis.dsir_resample)
-    timed("ols_residuals", analysis.ols_residuals)
-    timed("word_entropy", analysis.word_entropy)
-    timed("cohort_retention", relational.cohort_retention)
-    timed("knn_quantized", similarity.knn_quantized)
-    timed("pca_embeddings", similarity.pca_embeddings)
-    timed("rollup_source_lang", analysis.rollup_source_lang)
-    timed("curate_and_pack", pack_ops.curate_and_pack)
-    timed("events_hourly_delta", relational.events_hourly_delta)
-
-    from pdf_parser_ray.pipelines.cluster import kmeans_embeddings, semantic_dedup
-
-    timed("kmeans_embeddings", kmeans_embeddings)
-    timed("semantic_dedup", semantic_dedup)
-    timed("importance_weights", analysis.importance_weights)
-    timed("c4_line_filter", filter_ops.c4_line_filter)
-
-    from pdf_parser_ray.pipelines import sketch as sketch_ops
-
-    timed("bloom_dedup", sketch_ops.bloom_dedup)
-    timed("copartitioned_join", relational.copartitioned_order_customer)
-    timed("pmi_bigrams", analysis.pmi_bigrams)
-    timed("incremental_events_hourly", relational.incremental_events_hourly)
-
-    t = time.perf_counter()
-    analysis.vocab_coverage(SF_DIR)  # returns a small DataFrame
-    timings["vocab_coverage"] = time.perf_counter() - t
-
-    timed("gopher_rules", filter_ops.gopher_rules)
-    timed("mojibake_repair", filter_ops.mojibake_repair)
-    timed("badwords_filter", filter_ops.badwords_filter)
-    timed("length_outlier_filter", filter_ops.length_outlier_filter)
-    timed("best_of_duplicates", dedup.best_of_duplicates)
-    timed("bm25_scores", analysis.bm25_scores)
-
-    from pdf_parser_ray.pipelines.graph import doc_host_rank, pagerank_hosts
-
-    t = time.perf_counter()
-    pagerank_hosts(SF_DIR)  # returns a small DataFrame
-    timings["pagerank_hosts"] = time.perf_counter() - t
-
-    from pdf_parser_ray.pipelines.graph import host_triangles
-
-    t = time.perf_counter()
-    host_triangles(SF_DIR)  # returns a small DataFrame
-    timings["host_triangles"] = time.perf_counter() - t
-
-    t = time.perf_counter()
-    similarity.knn_mmr(SF_DIR)  # returns a small DataFrame
-    timings["knn_mmr"] = time.perf_counter() - t
-
-    timed("doc_host_rank", doc_host_rank)
-    timed("temperature_sample", filter_ops.temperature_sample)
-
-    from pdf_parser_ray.pipelines.join import bloom_semi_join
-
-    timed("bloom_semi_join", bloom_semi_join)
-    timed("pivot_source_lang", analysis.pivot_source_lang)
-
-    from pdf_parser_ray.pipelines.curate import web_curate
-
-    timed("web_curate", web_curate)
-    timed("event_funnel", relational.event_funnel)
-    timed("sales_opportunity", relational.sales_opportunity)
-    timed("source_vocab_overlap", analysis.source_vocab_overlap)
-    timed("hourly_anomalies", relational.hourly_anomalies)
-    timed("part_affinity", relational.part_affinity)
-    timed("large_orders", relational.large_orders)
-    t = time.perf_counter()
-    relational.customer_order_histogram(SF_DIR)  # returns a small DataFrame
-    timings["customer_order_histogram"] = time.perf_counter() - t
-    timed("promo_revenue_share", relational.promo_revenue_share)
-
-    from pdf_parser_ray.pipelines.dedup import soft_dedup_weights
-
-    timed("soft_dedup_weights", soft_dedup_weights)
-    timed("event_transitions", relational.event_transitions)
-    timed("gram_novelty", analysis.gram_novelty)
-    timed("returned_items", relational.returned_items)
-    timed("order_priority_counts", relational.order_priority_counts)
-    timed("top_words", analysis.top_words)
-    timed("length_percentiles", analysis.length_percentiles)
-    timed("profile_documents", analysis.profile_documents)
-    timed("segment_order_quantiles", relational.segment_order_quantiles)
-    timed("nation_trade_balance", relational.nation_trade_balance)
-
-    from pdf_parser_ray.pipelines.dedup import dup_group_sizes
-
-    timed("dup_group_sizes", dup_group_sizes)
-    timed("events_dau_wau", relational.events_dau_wau)
-    timed("rrf_fusion", analysis.rrf_fusion)
-    timed("user_lifetimes", relational.user_lifetimes)
-    timed("shipping_priority", relational.shipping_priority)
-    timed("local_supplier_volume", relational.local_supplier_volume)
-    timed("discount_band_revenue", relational.discount_band_revenue)
-    timed("top_supplier", relational.top_supplier)
-    timed("small_qty_revenue", relational.small_qty_revenue)
-    timed("disjunctive_revenue", relational.disjunctive_revenue)
-    timed("market_share", relational.market_share)
-    timed("zipf_fit", analysis.zipf_fit)
-    timed("ttr_stats", analysis.ttr_stats)
-    timed("stopword_ratio", analysis.stopword_ratio)
-    timed("hapax_stats", analysis.hapax_stats)
-    timed("inter_event_quantiles", relational.inter_event_quantiles)
-    timed("user_type_entropy", relational.user_type_entropy)
-    timed("ship_latency_quantiles", relational.ship_latency_quantiles)
-    timed("cross_source_overlap", dedup.cross_source_overlap)
-    timed("events_dow_hour", relational.events_dow_hour)
-    timed("langid_confusion", analysis.langid_confusion)
-    timed("supplier_concentration", relational.supplier_concentration)
-    timed("sole_late_supplier", relational.sole_late_supplier)
-    timed("latency_band_priority", relational.latency_band_priority)
-    timed("source_kl_divergence", analysis.source_kl_divergence)
-    timed("pareto_orders", relational.pareto_orders)
-    timed("min_cost_supplier", relational.min_cost_supplier)
-    timed("readability_scores", analysis.readability_scores)
-    timed("doc_top_terms", analysis.doc_top_terms)
-
-    from pdf_parser_ray.pipelines import graph
-
-    t = time.perf_counter()
-    graph.host_degree_stats(SF_DIR)  # small DataFrame
-    timings["host_degree_stats"] = time.perf_counter() - t
-    t = time.perf_counter()
-    graph.host_clustering(SF_DIR)
-    timings["host_clustering"] = time.perf_counter() - t
-    timed("winnow_fingerprints", analysis.winnow_fingerprints)
-
-    from pdf_parser_ray.pipelines.similarity import embedding_outliers
-
-    timed("embedding_outliers", embedding_outliers)
-    timed("robust_value_outliers", relational.robust_value_outliers)
-    timed("customer_value_deciles", relational.customer_value_deciles)
-    timed("event_trigrams", relational.event_trigrams)
-
-    from pdf_parser_ray.pipelines.similarity import cosine_band_histogram
-
-    timed("cosine_band_histogram", cosine_band_histogram)
-
-    from pdf_parser_ray.pipelines.similarity import knn_multi
-
-    timed("knn_multi", knn_multi)
-    timed("user_drawdowns", relational.user_drawdowns)
-    timed("nation_year_revenue", relational.nation_year_revenue)
-
-    from pdf_parser_ray.pipelines.multimodal import image_resize_pipeline
-
-    t = time.perf_counter()
-    image_resize_pipeline(300).count()
-    timings["image_resize"] = time.perf_counter() - t
-    timed("gini_customer_revenue", relational.gini_customer_revenue)
-    timed("user_value_autocorr", relational.user_value_autocorr)
-
-    from pdf_parser_ray.pipelines.dedup import fuzzy_name_pairs
-
-    timed("fuzzy_name_pairs", fuzzy_name_pairs)
-
-    from pdf_parser_ray.pipelines.dedup import near_dup_rate_by_source
-
-    timed("near_dup_rate_by_source", near_dup_rate_by_source)
-    timed("value_cume_dist", relational.value_cume_dist)
-    timed("leave_last_k", relational.leave_last_k)
-    timed("revenue_concentration", relational.revenue_concentration)
-
-    from pdf_parser_ray.pipelines.join import cosupplier_edges, join_size_stats
-
-    timed("join_size_stats", join_size_stats)
-    timed("cosupplier_edges", cosupplier_edges)
-    timed("bootstrap_mean_ci", relational.bootstrap_mean_ci)
-
-    from pdf_parser_ray.pipelines.pack import shard_balance_report
-
-    timed("shard_balance_report", shard_balance_report)
-
-    from pdf_parser_ray.pipelines.similarity import ann_recall
-
-    t = time.perf_counter()
-    ann_recall(SF_DIR)  # small DataFrame
-    timings["ann_recall"] = time.perf_counter() - t
-    timed("hour_of_day_effect", relational.hour_of_day_effect)
-    timed("target_encode_events", relational.target_encode_events)
-    timed("customer_rfm", relational.customer_rfm)
-
-    t = time.perf_counter()
-    analysis.heaps_law_curve(SF_DIR)  # small DataFrame
-    timings["heaps_law_curve"] = time.perf_counter() - t
-    t = time.perf_counter()
-    relational.hourly_cusum(SF_DIR)  # small DataFrame
-    timings["hourly_cusum"] = time.perf_counter() - t
-    t = time.perf_counter()
-    analysis.length_rank_test(SF_DIR)  # small DataFrame
-    timings["length_rank_test"] = time.perf_counter() - t
-    t = time.perf_counter()
-    analysis.lang_source_chi2(SF_DIR)  # small DataFrame
-    timings["lang_source_chi2"] = time.perf_counter() - t
-    t = time.perf_counter()
-    analysis.length_ks_test(SF_DIR)  # small DataFrame
-    timings["length_ks_test"] = time.perf_counter() - t
-    timed("benford_orders", relational.benford_orders)
-    t = time.perf_counter()
-    relational.hourly_burst_states(SF_DIR)  # small DataFrame
-    timings["hourly_burst_states"] = time.perf_counter() - t
-    t = time.perf_counter()
-    analysis.length_vocab_spearman(SF_DIR)  # small DataFrame
-    timings["length_vocab_spearman"] = time.perf_counter() - t
-    t = time.perf_counter()
-    analysis.hill_tail_index(SF_DIR)  # small DataFrame
-    timings["hill_tail_index"] = time.perf_counter() - t
-    t = time.perf_counter()
-    graph.host_assortativity(SF_DIR)  # small DataFrame
-    timings["host_assortativity"] = time.perf_counter() - t
-    timed("brand_supplier_counts", relational.brand_supplier_counts)
-    timed("dominant_suppliers", relational.dominant_suppliers)
-
-    from pdf_parser_ray.pipelines.pack import weighted_priority_sample
-
-    timed("weighted_priority_sample", weighted_priority_sample)
-
-    from pdf_parser_ray.pipelines.curate import curate_pages
-    from pdf_parser_ray.pipelines.extract import (
-        canonical_urls, domain_stats, host_page_cap, line_dedup,
-    )
-
-    for name, make_pages in (
-        ("url_domain_stats", domain_stats),
-        ("line_dedup", line_dedup),
-        ("host_page_cap", host_page_cap),
-        ("curate_pages", curate_pages),
-    ):
-        t = time.perf_counter()
-        make_pages(pages_dir).count()
-        timings[name] = time.perf_counter() - t
-
-    t = time.perf_counter()
-    canonical_urls(pages_dir).count()
-    timings["canonical_urls"] = time.perf_counter() - t
+    rows: dict[str, int] = {}
+    if not os.environ.get("GRAFT_BENCH_HEADLINE_ONLY"):
+        _time_queries(timings, rows)
 
     ray.shutdown()
 
@@ -490,6 +192,7 @@ def run_bench() -> dict:
         "value": round(headline, 3),
         "unit": "sec",
         "queries": {k: round(v, 3) for k, v in timings.items()},
+        "rows": rows,
         "sf": SF_DIR,
         "num_cpus": NUM_CPUS,
         "cpu_calib_sec": cpu_calib,
@@ -499,6 +202,26 @@ def run_bench() -> dict:
         "docs_per_sec": round(n_pages / headline, 1) if headline else None,
         "mb_per_sec": round(input_bytes / headline / 1e6, 2) if headline else None,
     }
+
+
+def _time_queries(timings: dict[str, float], rows: dict[str, int]) -> None:
+    """Time every driver query over ``SF_DIR`` in contract order: a
+    Dataset is consumed by ``count()``, a DataFrame by ``len()``."""
+    import ray.data as rd
+
+    import __ray_entry__ as entry
+    from pdf_parser_ray.pipelines.extract import extracted_dir
+
+    # stage the fixture corpus's extracted artifact untimed: in
+    # production extraction is its own job step writing parquet, and the
+    # extraction-family queries READ it — their timings measure their own
+    # work, not a cache build
+    extracted_dir(entry._pages_dir_for(SF_DIR))
+    for name, make in entry.queries().items():
+        t = time.perf_counter()
+        res = make(SF_DIR)
+        rows[name] = res.count() if isinstance(res, rd.Dataset) else len(res)
+        timings[name] = time.perf_counter() - t
 
 
 def _pool_burn(_arg: int) -> float:
@@ -537,7 +260,6 @@ def run_scaling() -> dict:
             os.environ,
             RAY_GRAFT_CPUS=str(ncpu),
             GRAFT_BENCH_HEADLINE_ONLY="1",
-            GRAFT_BENCH_WARM_FULL="1",
             GRAFT_BENCH_EXTRACT_REPS=str(reps),
             GRAFT_BENCH_REPLICATE=scaling_rep,
         )

@@ -1,7 +1,7 @@
 """pdf_parser_ray — a Ray-Data-native web/document extraction engine.
 
 A from-scratch reimplementation of the *capabilities* of the reference
-``ambolt-studio/pdf-parser`` (see /root/repo/SURVEY.md) re-expressed as a
+``ambolt-studio/pdf-parser`` (see SURVEY.md) re-expressed as a
 streaming ``ray.data.Dataset`` pipeline over Parquet tables of
 Common-Crawl-style pages ``(url, warc_ts, html, text, lang)``:
 

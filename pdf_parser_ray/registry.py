@@ -81,84 +81,7 @@ def queries() -> dict[str, Callable[[str], Any]]:
         "top_orders_per_nation": relational.top_orders_per_nation,
         "events_sliding": relational.events_sliding,
         "distinct_users_per_type": relational.distinct_users_per_type,
-        # ---- past-the-gate tail ----
-        # The graft driver samples the FIRST 50 queries; everything
-        # below line 50 keeps its pytest oracle but loses the
-        # driver-side hash row.  Tail membership is deliberate: six
-        # oracle-backed queries that were already driver-green in BOTH
-        # r01 and r02 and whose semantics are represented in-gate by a
-        # sibling (knn_lsh shares knn_ivf's identical oracle statement;
-        # region_revenue is orders_by_nation's multi-hop variant on the
-        # same _dim_rollup; the others are thin groupby/top-k/filter
-        # variants), the round-3 additions (incremental/normalized
-        # dedup, stratified_sample, chunk_documents, copartitioned_join,
-        # c4_line_filter, bloom_dedup, pmi_bigrams, leakage_safe_split,
-        # knn_ivf_kmeans, incremental_events_hourly, vocab_coverage,
-        # dedup_lines_within_doc, user_running_totals, label_centroids,
-        # source_quality_filter, shuffle_shards, ccnet_buckets,
-        # dsir_resample, ols_residuals, cohort_retention, word_entropy,
-        # knn_quantized, rollup_source_lang, curate_and_pack,
-        # events_hourly_delta, uniform_sample_k, and the round-4
-        # additions (gopher_rules, mojibake_repair, badwords_filter,
-        # length_outlier_filter, best_of_duplicates, bm25_scores,
-        # host_graph_edges, pagerank_hosts, doc_host_rank,
-        # temperature_sample, bloom_semi_join, pivot_source_lang,
-        # web_curate, event_funnel, sales_opportunity,
-        # source_vocab_overlap, hourly_anomalies, part_affinity,
-        # large_orders, customer_order_histogram, promo_revenue_share,
-        # soft_dedup_weights, event_transitions, gram_novelty,
-        # returned_items, order_priority_counts, top_words,
-        # length_percentiles, profile_documents,
-        # segment_order_quantiles, nation_trade_balance,
-        # dup_group_sizes, events_dau_wau, rrf_fusion, user_lifetimes,
-        # shipping_priority, local_supplier_volume,
-        # discount_band_revenue, top_supplier, small_qty_revenue,
-        # disjunctive_revenue, market_share, zipf_fit, ttr_stats,
-        # stopword_ratio, hapax_stats, inter_event_quantiles,
-        # user_type_entropy, ship_latency_quantiles,
-        # cross_source_overlap, events_dow_hour, langid_confusion,
-        # supplier_concentration, sole_late_supplier,
-        # latency_band_priority, source_kl_divergence,
-        # host_triangles, knn_mmr, pareto_orders,
-        # weighted_priority_sample, min_cost_supplier,
-        # brand_supplier_counts, dominant_suppliers,
-        # readability_scores, doc_top_terms, host_degree_stats,
-        # host_clustering, winnow_fingerprints, embedding_outliers,
-        # robust_value_outliers, customer_value_deciles,
-        # event_trigrams, cosine_band_histogram, knn_multi,
-        # user_drawdowns, nation_year_revenue, gini_customer_revenue,
-        # user_value_autocorr, fuzzy_name_pairs,
-        # near_dup_rate_by_source, value_cume_dist, leave_last_k,
-        # host_assortativity, revenue_concentration, join_size_stats,
-        # cosupplier_edges, bootstrap_mean_ci, shard_balance_report,
-        # ann_recall, hour_of_day_effect, target_encode_events,
-        # customer_rfm, heaps_law_curve, hourly_cusum,
-        # length_rank_test, lang_source_chi2, length_ks_test,
-        # benford_orders, hourly_burst_states,
-        # length_vocab_spearman, hill_tail_index, and the round-5
-        # additions (knn_ivf_multi, theil_sen_hourly,
-        # mann_kendall_hourly, fano_hourly_by_type, hourly_acf_panel,
-        # trimmed_mean_orders, prefix_dup_groups,
-        # word_length_histogram, temporal_vocab_drift,
-        # length_deciles_by_lang, robust_scaled_events,
-        # max_repeated_ngram, sketch_quantile_error,
-        # asof_event_join, storage_audit, sentence_stats,
-        # embedding_drift, hll_error_eval, cms_error_eval,
-        # open_order_concurrency, bigram_entropy, dedup_threshold_curve,
-        # host_components, revenue_grouping_sets, value_psi,
-        # value_fivenum, lang_token_density;
-        # outlink_stats and the extraction tail live
-        # in __ray_entry__)) —
-        # each oracle-backed in
-        # tests/test_oracle.py; displacing a gated slot would cost an
-        # established driver-green row), then the formerly
-        # rows-only tail (compression_ratio, train_bpe,
-        # bpe_segment_counts, sketches, multimodal stages) — r05:
-        # committed-golden oracles (goldens/rows_only/, regenerated
-        # only on intentional semantic change via
-        # tools/regen_goldens.py) give these full hash rows too;
-        # pca_embeddings alone stays rows-only (eigh float output is
-        # not stable across BLAS builds).
+        # ---- past-the-gate tail (see __ray_entry__.GATED) ----
         "knn_lsh": similarity.knn_lsh,
         "perplexity_scores": partial(
             analysis.perplexity_scores, vocab_cap=analysis.ORACLE_VOCAB_CAP
@@ -335,6 +258,7 @@ def queries() -> dict[str, Callable[[str], Any]]:
         "compression_ratio": analysis.compression_ratio,
         "train_bpe": analysis.train_bpe,
         "bpe_segment_counts": analysis.bpe_segment_counts,
+        # rows-only: eigh float output is not stable across BLAS builds
         "pca_embeddings": similarity.pca_embeddings,
         # -- approximate sketches --
         "approx_distinct_users": sketch.approx_distinct_users,

@@ -31,7 +31,12 @@ import shutil
 import time
 import uuid
 
+import numpy as np
+import pyarrow as pa
 import pyarrow.compute as pc
+import pyarrow.json as pj
+import pyarrow.parquet as pq
+import ray
 
 from ..pipelines.extract import (
     DEFAULT_BATCH_SIZE,
@@ -72,32 +77,44 @@ def completed_groups(out_dir: str) -> set[int]:
     return done
 
 
-def _jsonl_group_stats(tmp_dir: str) -> tuple[int, int, int]:
-    """Lineage stats over a group's JSONL output.  JSON has no column
-    pruning, so each file is line-scanned by a Ray task (the driver
-    only collects three ints per file, never the data)."""
-    import ray
+_LINEAGE_SCHEMA = pa.schema([("n_records", pa.int64()), ("content_sha256", pa.string())])
 
-    @ray.remote
-    def stat_file(path: str) -> tuple[int, int, int]:
-        rows = n_records = rollup = 0
-        with open(path) as f:
-            for line in f:
-                if not line.strip():
-                    continue
-                rec = json.loads(line)
-                rows += 1
-                n_records += int(rec.get("n_records") or 0)
-                rollup ^= int(str(rec["content_sha256"])[:16], 16)
-        return rows, n_records, rollup
 
+@ray.remote
+def _file_lineage(path: str) -> tuple[int, int, int]:
+    """(rows, records, content-hash rollup) of one written output file,
+    read from its two lineage columns only.  The rollup XORs the first
+    16 hex digits (64 bits) of every row's content sha256, so it is
+    order-insensitive."""
+    if path.endswith(".parquet"):
+        t = pq.read_table(path, columns=_LINEAGE_SCHEMA.names)
+    elif not os.path.getsize(path):
+        t = _LINEAGE_SCHEMA.empty_table()  # pyarrow rejects an empty JSON file
+    else:
+        # one block per file: a JSON line must not straddle two blocks
+        t = pj.read_json(
+            path,
+            read_options=pj.ReadOptions(block_size=os.path.getsize(path) + 1),
+            parse_options=pj.ParseOptions(
+                explicit_schema=_LINEAGE_SCHEMA, unexpected_field_behavior="ignore"
+            ),
+        )
+    prefixes = pc.utf8_slice_codeunits(t.column("content_sha256"), 0, 16)
+    words = np.frombuffer(bytes.fromhex("".join(prefixes.to_pylist())), ">u8")
+    rollup = int(np.bitwise_xor.reduce(words.astype(np.uint64), initial=0))
+    return t.num_rows, pc.sum(t.column("n_records")).as_py() or 0, rollup
+
+
+def _group_lineage(tmp_dir: str) -> tuple[int, int, int]:
+    """Lineage stats over a group's written files (parquet or JSONL):
+    one Ray task per file, the driver only combines three ints each."""
     paths = [
         os.path.join(tmp_dir, n)
         for n in sorted(os.listdir(tmp_dir))
-        if n.endswith(".json")
+        if n.endswith((".parquet", ".json"))
     ]
     rows = n_records = rollup = 0
-    for r, nr, h in ray.get([stat_file.remote(p) for p in paths]):
+    for r, nr, h in ray.get([_file_lineage.remote(p) for p in paths]):
         rows += r
         n_records += nr
         rollup ^= h
@@ -119,7 +136,7 @@ def run_job(
     parquet — the reference service's native output shape (app.py
     returns a JSON record array per document).  Parquet remains the
     at-scale sink: JSONL lineage stats can't column-prune, so each
-    output file is line-scanned by a Ray task.  Nested record/span
+    output file is fully parsed by its lineage task.  Nested record/span
     columns serialize as JSON objects either way."""
     os.makedirs(os.path.join(out_dir, "_manifest"), exist_ok=True)
     # sweep tmp dirs left by crashed writes — resume only trusts
@@ -148,28 +165,9 @@ def run_job(
         # to parquet/json); the driver never materializes the data
         if output_format == "jsonl":
             ds.write_json(tmp_dir)
-            rows, n_records, hash_rollup = _jsonl_group_stats(tmp_dir)
         else:
             ds.write_parquet(tmp_dir)
-
-            # lineage stats from the written files' narrow columns only
-            import pyarrow.parquet as pq
-
-            rows = 0
-            n_records = 0
-            hash_rollup = 0
-            for name in sorted(os.listdir(tmp_dir)):
-                if not name.endswith(".parquet"):
-                    continue
-                t = pq.read_table(
-                    os.path.join(tmp_dir, name),
-                    columns=["n_records", "content_sha256"],
-                )
-                rows += t.num_rows
-                n_records += pc.sum(t.column("n_records")).as_py() or 0
-                # order-insensitive rollup of per-row content hashes
-                for h in t.column("content_sha256").to_pylist():
-                    hash_rollup ^= int(h[:16], 16)
+        rows, n_records, hash_rollup = _group_lineage(tmp_dir)
         if os.path.isdir(final_dir):
             shutil.rmtree(final_dir)
         os.replace(tmp_dir, final_dir)

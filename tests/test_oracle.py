@@ -60,6 +60,14 @@ def test_oracle_match(ray_session, quiet_data_context, name):
     pd.testing.assert_frame_equal(ray_df, sql_df, check_dtype=False, check_like=True)
 
 
+def test_gated_prefix_pinned():
+    """The driver gates the first 50 queries in order; each needs an oracle."""
+    import __ray_entry__ as entrymod
+
+    assert tuple(entrymod.queries())[:50] == entrymod.GATED
+    assert set(entrymod.GATED) <= set(entrymod.oracle_sql())
+
+
 def test_entry_smoke(ray_session, quiet_data_context):
     import __ray_entry__ as entrymod
 

@@ -3,10 +3,12 @@ groups on restart and produces identical final output (SURVEY.md §5.2-4)."""
 
 import json
 import os
+from pathlib import Path
 
 import pyarrow.parquet as pq
 import pytest
 
+ROOT = Path(__file__).resolve().parents[1]
 SF_DIR = "/root/testdata/sf0.001"
 
 
@@ -109,7 +111,7 @@ class TestResume:
         ]
         env = dict(os.environ, RAY_ADDRESS="")
         proc = subprocess.Popen(
-            cmd, cwd="/root/repo", env=env,
+            cmd, cwd=ROOT, env=env,
             stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL,
             start_new_session=True,
         )
@@ -200,6 +202,17 @@ class TestJsonlSink:
             b = json.load(open(os.path.join(out_jl, "_manifest", name)))
             for k in ("rows", "records", "content_hash_rollup"):
                 assert a[k] == b[k], (name, k)
+            # reference: a per-row loop over the group's written rows
+            t = pq.read_table(
+                os.path.join(out_pq, f"shard={a['group']:05d}"),
+                columns=["n_records", "content_sha256"],
+            )
+            rollup = 0
+            for h in t.column("content_sha256").to_pylist():
+                rollup ^= int(h[:16], 16)
+            assert a["rows"] == t.num_rows
+            assert a["records"] == sum(t.column("n_records").to_pylist())
+            assert a["content_hash_rollup"] == f"{rollup:016x}"
         # the shard dirs hold .json files, and resume skips everything
         shard0 = os.path.join(out_jl, "shard=00000")
         assert any(n.endswith(".json") for n in os.listdir(shard0))
@@ -214,7 +227,7 @@ class TestQueryCLI:
         one map)."""
         import sys
 
-        sys.path.insert(0, "/root/repo")
+        sys.path.insert(0, str(ROOT))
         import __ray_entry__ as entrymod
 
         from pdf_parser_ray.registry import queries

@@ -10,6 +10,7 @@ a driver-shaped hard signal (VERDICT r03 ask #5).
 import json
 import os
 import sys
+from pathlib import Path
 
 import duckdb
 import pandas as pd
@@ -17,7 +18,7 @@ import ray
 
 ray.init(address="local", num_cpus=8, include_dashboard=False)
 
-sys.path.insert(0, "/root/repo")
+sys.path.insert(0, str(Path(__file__).resolve().parents[1]))
 import __ray_entry__ as e  # noqa: E402
 
 SF = "/root/testdata/sf0.01"

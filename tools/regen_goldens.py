@@ -19,16 +19,18 @@ Usage: python tools/regen_goldens.py
 """
 import os
 import sys
+from pathlib import Path
 
 import ray
 
 ray.init(address="local", num_cpus=8, include_dashboard=False)
 
-sys.path.insert(0, "/root/repo")
+ROOT = Path(__file__).resolve().parents[1]
+sys.path.insert(0, str(ROOT))
 import __ray_entry__ as e  # noqa: E402
 
 SF = "/root/testdata/sf0.01"
-OUT = "/root/repo/goldens/rows_only"
+OUT = str(ROOT / "goldens" / "rows_only")
 
 # name -> canonical sort keys (full-column sort is ambiguous for wide
 # binary payloads; explicit keys keep the files byte-stable)

@@ -22,8 +22,10 @@ import signal
 import subprocess
 import sys
 import time
+from pathlib import Path
 
-sys.path.insert(0, "/root/repo")
+ROOT = Path(__file__).resolve().parents[1]
+sys.path.insert(0, str(ROOT))
 
 SF_DIR = os.environ.get("GRAFT_SF_DIR", "/root/testdata/sf0.1")
 CACHE_ROOT = "/tmp/pdf_parser_ray_bench"
@@ -93,13 +95,13 @@ def main() -> int:
 
     # uninterrupted reference run
     t0 = time.perf_counter()
-    subprocess.run(job_cmd(ref_out), cwd="/root/repo", env=env, check=True,
+    subprocess.run(job_cmd(ref_out), cwd=ROOT, env=env, check=True,
                    stdout=subprocess.DEVNULL)
     full_wall = time.perf_counter() - t0
 
     # killed run: SIGKILL once ~half the groups have manifested
     t0 = time.perf_counter()
-    proc = subprocess.Popen(job_cmd(kill_out), cwd="/root/repo", env=env,
+    proc = subprocess.Popen(job_cmd(kill_out), cwd=ROOT, env=env,
                             stdout=subprocess.DEVNULL, start_new_session=True)
     target = max(1, n_groups // 2)
     while proc.poll() is None and len(manifests(kill_out)) < target:
@@ -119,7 +121,7 @@ def main() -> int:
 
     # resume
     t0 = time.perf_counter()
-    subprocess.run(job_cmd(kill_out), cwd="/root/repo", env=env, check=True,
+    subprocess.run(job_cmd(kill_out), cwd=ROOT, env=env, check=True,
                    stdout=subprocess.DEVNULL)
     resume_wall = time.perf_counter() - t0
 
