@@ -45,11 +45,11 @@ def entry() -> Any:
 
 
 def _extract_pages(sf_dir: str):
-    from pdf_parser_ray.pipelines.extract import extract_dir
+    from pdf_parser_ray.pipelines.extract import read_extracted
 
-    ds = extract_dir(_pages_dir_for(sf_dir))
-    return ds.select_columns(
-        ["url", "content_type", "parser_key", "n_records", "content_sha256"]
+    return read_extracted(
+        _pages_dir_for(sf_dir),
+        ["url", "content_type", "parser_key", "n_records", "content_sha256"],
     )
 
 
@@ -58,7 +58,7 @@ def _extract_records(sf_dir: str):
     (amounts in integer cents so the oracle value-hash is float-safe)."""
     import pyarrow as pa
 
-    from pdf_parser_ray.pipelines.extract import extract_dir
+    from pdf_parser_ray.pipelines.extract import read_extracted
 
     def explode(batch: pa.Table) -> pa.Table:
         # vectorized list-of-struct explode: parent indices repeat the
@@ -85,7 +85,7 @@ def _extract_records(sf_dir: str):
             }
         )
 
-    ds = extract_dir(_pages_dir_for(sf_dir))
+    ds = read_extracted(_pages_dir_for(sf_dir), ["url", "records"])
     return ds.map_batches(explode, batch_format="pyarrow", zero_copy_batch=True)
 
 
@@ -120,7 +120,7 @@ def _extract_spans(sf_dir: str):
     value-hash gate against generator-side goldens."""
     import pyarrow as pa
 
-    from pdf_parser_ray.pipelines.extract import extract_dir
+    from pdf_parser_ray.pipelines.extract import read_extracted
 
     def explode(batch: pa.Table) -> pa.Table:
         # vectorized explode; span_idx = element position within its
@@ -149,7 +149,7 @@ def _extract_spans(sf_dir: str):
             }
         )
 
-    ds = extract_dir(_pages_dir_for(sf_dir))
+    ds = read_extracted(_pages_dir_for(sf_dir), ["url", "spans"])
     return ds.map_batches(explode, batch_format="pyarrow", zero_copy_batch=True)
 
 

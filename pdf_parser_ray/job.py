@@ -32,7 +32,8 @@ def main(argv: list[str] | None = None) -> int:
     ap.add_argument("--curate", action="store_true",
                     help="after extraction, run the page-curation "
                          "composition (exact dedup + host cap + quality "
-                         "gate) and write per-url verdicts parquet")
+                         "gate) over --output and write per-url verdicts "
+                         "parquet (parquet sink only)")
     ap.add_argument("--format", choices=("parquet", "jsonl"), default="parquet",
                     help="extraction sink format (jsonl = the reference "
                          "service's native JSON output shape)")
@@ -55,6 +56,8 @@ def main(argv: list[str] | None = None) -> int:
     if args.query is None and (args.input is None or args.output is None):
         ap.error("--input and --output are required (unless --query/"
                  "--list-queries)")
+    if args.curate and args.format == "jsonl":
+        ap.error("--curate reads the parquet sink; drop --format jsonl")
 
     import ray
 
@@ -132,7 +135,7 @@ def main(argv: list[str] | None = None) -> int:
             tmp = verdict_dir + ".tmp"
             shutil.rmtree(tmp, ignore_errors=True)
             shutil.rmtree(verdict_dir, ignore_errors=True)
-            curate_pages(args.input, batch_size=args.batch_size).write_parquet(tmp)
+            curate_pages(args.output, batch_size=args.batch_size).write_parquet(tmp)
             os.replace(tmp, verdict_dir)
             with open(done, "w") as f:
                 f.write("ok")

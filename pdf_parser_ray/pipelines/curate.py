@@ -388,10 +388,11 @@ def curate_pages(
     (empty string).  The flagship composition a crawl pipeline runs
     between extraction and training-corpus assembly.
 
-    Scale shape: runs over the shared extracted artifact
-    (:func:`pdf_parser_ray.pipelines.extract.extracted_dir` — parquet
-    on disk, extraction runs once per corpus; this IS the extracted
-    parquet the 100 TB job driver writes).  Each verdict pass exchanges
+    ``pages_dir`` is a `run_job` output dir — ``job --curate`` passes
+    its own ``--output`` — or a pages dir, whose extracted artifact
+    :func:`pdf_parser_ray.pipelines.extract.extracted_dir` builds once
+    (:func:`~pdf_parser_ray.pipelines.extract.read_extracted` takes
+    either).  Scale shape: each verdict pass exchanges
     only narrow rows — (url, priority) — keyed by coarse hash buckets
     (sha-bucket for dedup, host-bucket for the cap, url-bucket for the
     final priority combine); the wide ``extracted_text`` column is read

@@ -3,6 +3,10 @@ groups on restart and produces identical final output (SURVEY.md §5.2-4)."""
 
 import json
 import os
+import signal
+import subprocess
+import sys
+from contextlib import contextmanager
 from pathlib import Path
 
 import pyarrow.parquet as pq
@@ -10,6 +14,28 @@ import pytest
 
 ROOT = Path(__file__).resolve().parents[1]
 SF_DIR = "/root/testdata/sf0.001"
+
+
+@contextmanager
+def job_process(*args, stderr=subprocess.DEVNULL):
+    """The job CLI as a subprocess in its own session.  On exit it is
+    SIGKILLed if still running, and so is the rest of its process
+    group: its Ray processes (the dashboard agent outlives the raylet)."""
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "pdf_parser_ray.job", *args],
+        cwd=ROOT, env=dict(os.environ, RAY_ADDRESS=""),
+        stdout=subprocess.DEVNULL, stderr=stderr, start_new_session=True,
+    )
+    try:
+        yield proc
+    finally:
+        if proc.poll() is None:
+            proc.send_signal(signal.SIGKILL)
+        proc.wait()
+        try:
+            os.killpg(proc.pid, signal.SIGKILL)
+        except ProcessLookupError:
+            pass
 
 
 @pytest.fixture(scope="module")
@@ -92,9 +118,6 @@ class TestResume:
         and assert (a) every manifested group is skipped — its manifest
         mtime does not move — and (b) the final output is byte-identical
         to an uninterrupted reference run."""
-        import signal
-        import subprocess
-        import sys
         import time
 
         from pdf_parser_ray.state.manifest import run_job
@@ -104,37 +127,22 @@ class TestResume:
 
         out = str(tmp_path / "out_killed")
         mdir = os.path.join(out, "_manifest")
-        cmd = [
-            sys.executable, "-m", "pdf_parser_ray.job",
+        with job_process(
             "--input", pages_dir, "--output", out,
             "--group-size", "1", "--num-cpus", "4",
-        ]
-        env = dict(os.environ, RAY_ADDRESS="")
-        proc = subprocess.Popen(
-            cmd, cwd=ROOT, env=env,
-            stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL,
-            start_new_session=True,
-        )
-        try:
+        ) as proc:
             deadline = time.time() + 120
             while time.time() < deadline:
-                if os.path.isdir(mdir) and len(os.listdir(mdir)) >= 1:
+                # a finished manifest, not _atomic_write_json's temp file
+                if os.path.isdir(mdir) and any(
+                    f.endswith(".json") for f in os.listdir(mdir)
+                ):
                     break
                 if proc.poll() is not None:
                     break
                 time.sleep(0.05)
             else:
                 pytest.fail("no manifest appeared before the deadline")
-        finally:
-            if proc.poll() is None:
-                proc.send_signal(signal.SIGKILL)
-            proc.wait()
-            # the dead job's Ray processes (its dashboard agent outlives
-            # the raylet) share its process group: reap them too
-            try:
-                os.killpg(proc.pid, signal.SIGKILL)
-            except ProcessLookupError:
-                pass
 
         done_before = {
             f: os.path.getmtime(os.path.join(mdir, f))
@@ -218,6 +226,52 @@ class TestJsonlSink:
         assert any(n.endswith(".json") for n in os.listdir(shard0))
         again = run_job(pages_dir, out_jl, group_size=2, output_format="jsonl")
         assert again["skipped"] == summary["groups"] and not again["ran"]
+
+
+class TestJobCurate:
+    def test_curate_rejects_jsonl_sink(self, tmp_path):
+        from pdf_parser_ray import job
+
+        with pytest.raises(SystemExit) as e:
+            job.main([
+                "--input", str(tmp_path), "--output", str(tmp_path / "out"),
+                "--format", "jsonl", "--curate",
+            ])
+        assert e.value.code == 2
+
+    def test_curate_reads_own_output(
+        self, ray_session, quiet_data_context, pages_dir, tmp_path, monkeypatch
+    ):
+        """`job --curate` curates its own --output: its verdicts equal
+        curate_pages over the pages dir, re-curating the finished output
+        (which already holds curation/) agrees, and no extracted copy
+        is written to the shared cache root."""
+        from pdf_parser_ray.pipelines import extract
+        from pdf_parser_ray.pipelines.curate import curate_pages
+
+        out = str(tmp_path / "out")
+        err = tmp_path / "job.err"
+        with open(err, "w") as f, job_process(
+            "--input", pages_dir, "--output", out, "--curate",
+            "--group-size", "2", "--num-cpus", "2", stderr=f,
+        ) as proc:
+            code = proc.wait(timeout=600)
+        assert code == 0, err.read_text()[-2000:]
+        assert not os.path.exists(
+            os.path.join(
+                extract._EXTRACTED_CACHE_ROOT,
+                extract._corpus_fingerprint(pages_dir),
+            )
+        )
+
+        def verdicts(df):
+            assert df["url"].is_unique
+            return dict(zip(df["url"], df["verdict"]))
+
+        got = verdicts(pq.read_table(os.path.join(out, "curation")).to_pandas())
+        monkeypatch.setattr(extract, "_EXTRACTED_CACHE_ROOT", str(tmp_path / "cache"))
+        assert got == verdicts(curate_pages(pages_dir).to_pandas())
+        assert got == verdicts(curate_pages(out).to_pandas())
 
 
 class TestQueryCLI:
