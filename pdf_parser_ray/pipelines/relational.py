@@ -18,6 +18,7 @@ import pyarrow.compute as pc
 import ray.data as rd
 
 from .io_util import arrow_udf, read_parquet_clean
+from .join import co_group
 from ray.data.aggregate import Count, Max, Min, Sum
 
 
@@ -27,6 +28,24 @@ def _t(sf_dir: str, name: str, columns: list[str] | None = None) -> rd.Dataset:
     path = os.path.join(sf_dir, f"{name}.parquet")
     return read_parquet_clean(
         path, columns=columns, override_num_blocks=_blocks_for(path)
+    )
+
+
+def _cents(col) -> pa.Array:
+    """Money column → integer cents, ``round(value*100)``."""
+    return pc.cast(pc.round(pc.multiply(col, 100.0)), pa.int64())
+
+
+def _rev_cc(batch: pa.Table) -> pa.Array:
+    """Discounted lineitem revenue in cent-percent units:
+    price_cents × (100 − disc_pct), PURE INTEGER arithmetic after the
+    per-column rounding (both are 2-decimal columns, so ×100 lands on
+    integers ± fp noise and the rounding mode can't diverge from the
+    SQL oracle) — sums are associative at any reduction order."""
+    disc = _cents(batch.column("l_discount"))
+    return pc.multiply(
+        _cents(batch.column("l_extendedprice")),
+        pc.subtract(pa.scalar(100, pa.int64()), disc),
     )
 
 
@@ -87,28 +106,22 @@ def _orders_per_cust(sf_dir: str) -> rd.Dataset:
     groupby — :func:`_dim_rollup` consumers co-shuffle once and
     tolerate multiple partial rows per key)."""
 
-    def to_cents(batch: pa.Table) -> pa.Table:
-        return pa.table(
-            {
-                "o_custkey": batch.column("o_custkey"),
-                "price_cents": pc.cast(
-                    pc.round(pc.multiply(batch.column("o_totalprice"), 100.0)),
-                    pa.int64(),
-                ),
-            }
-        )
-
     def partial(batch: pa.Table) -> pa.Table:
         g = (
-            to_cents(batch)
+            pa.table(
+                {
+                    "o_custkey": batch.column("o_custkey"),
+                    "cents": _cents(batch.column("o_totalprice")),
+                }
+            )
             .group_by(["o_custkey"])
-            .aggregate([("price_cents", "sum"), ("price_cents", "count")])
+            .aggregate([("cents", "sum"), ("cents", "count")])
         )
         return pa.table(
             {
                 "o_custkey": g.column("o_custkey"),
-                "cents": g.column("price_cents_sum"),
-                "n_orders": pc.cast(g.column("price_cents_count"), pa.int64()),
+                "cents": g.column("cents_sum"),
+                "n_orders": pc.cast(g.column("cents_count"), pa.int64()),
             }
         )
 
@@ -128,7 +141,7 @@ def orders_by_nation(sf_dir: str) -> rd.Dataset:
     """(n_name, n_orders, total_cents): the orders→customer join runs
     **distributed** — in-batch order partials per custkey, then ONE
     :func:`_dim_rollup` co-shuffle with the customer table on
-    custkey % K.  Only ``nation`` (25 rows, the genuinely-small side)
+    custkey.  Only ``nation`` (25 rows, the genuinely-small side)
     rides along as the bucket-local ``val_map``; no driver-side dict
     ever scales with the fact or customer table."""
     return _dim_rollup(
@@ -638,138 +651,91 @@ def distinct_users_per_type(sf_dir: str) -> rd.Dataset:
     return pairs.groupby("event_type").aggregate(Count(alias_name="n_users"))
 
 
-def range_join_events(
-    sf_dir: str, window_s: int = 600, buckets: int = 64
-) -> rd.Dataset:
+def range_join_events(sf_dir: str, window_s: int = 600) -> rd.Dataset:
     """(window_id, n_events, sum_cents): distributed RANGE JOIN — every
     'error' event opens an incident window ``[ts, ts+window_s)``; each
     window joins, by interval containment (a non-equi predicate no hash
     join expresses), every event whose timestamp falls inside it.
 
-    Partitioning assumption: both sides co-shuffle on the time bucket
-    ``ts // window_s`` (coarse-hashed to ``buckets`` groups), and a
-    window spans AT MOST TWO buckets because the bucket width equals
-    the window length — each window row is emitted to both, partials
-    sum exactly (a point belongs to exactly one bucket).  The
-    per-bucket kernel is sort + ``searchsorted`` + prefix sums:
-    O((P+W)·log P) with NO pairwise blowup, so a boilerplate-dense
-    bucket costs log, not quadratic, work.  Value sums ride as integer
-    cents (events_hourly's convention) so partial order can't shift
-    the hash.  Wider-than-bucket windows would need the interval
-    fanned to ceil(len/width)+1 buckets — the emission is the only
-    line that changes."""
+    Partitioning assumption: both sides :func:`co_group` on the time
+    bucket ``ts // window_s``, and a window spans AT MOST TWO time
+    buckets because the bucket width equals the window length — each
+    window row is emitted to both, partials sum exactly (a point
+    belongs to exactly one time bucket).  The per-bucket kernel is
+    sort + ``searchsorted`` + prefix sums, each window row clipped to
+    its own time bucket: O((P+W)·log P) with NO pairwise blowup, so a
+    boilerplate-dense bucket costs log, not quadratic, work.  Value
+    sums ride as integer cents (events_hourly's convention) so partial
+    order can't shift the hash.  Wider-than-bucket windows would need
+    the interval fanned to ceil(len/width)+1 time buckets — the
+    emission is the only line that changes."""
     import pandas as pd
 
     w_us = window_s * 1_000_000
 
     def point_rows(batch: pa.Table) -> pa.Table:
         ts = pc.cast(batch.column("ts"), pa.int64()).to_numpy(zero_copy_only=False)
-        cents = (
-            pc.cast(pc.round(pc.multiply(batch.column("value"), 100.0)), pa.int64())
-            .to_numpy(zero_copy_only=False)
-        )
-        tb = ts // w_us
-        n = len(ts)
         return pa.table(
             {
-                "coarse": pa.array((tb % buckets).astype(np.int32)),
-                "tb": pa.array(tb),
-                "__role": pa.array(np.zeros(n, np.int8)),
+                "tb": pa.array(ts // w_us),
                 "ts": pa.array(ts),
-                "cents": pa.array(cents),
-                "window_id": pa.array(np.zeros(n, np.int64)),
+                "cents": _cents(batch.column("value")),
             }
         )
 
     def window_rows(batch: pa.Table) -> pa.Table:
-        mask = pc.equal(batch.column("event_type"), "error")
-        sel = batch.filter(mask)
+        sel = batch.filter(pc.equal(batch.column("event_type"), "error"))
         ts = pc.cast(sel.column("ts"), pa.int64()).to_numpy(zero_copy_only=False)
-        wid = sel.column("event_id").to_numpy(zero_copy_only=False).astype(np.int64)
+        wid = sel.column("event_id").to_numpy(zero_copy_only=False)
+        # both overlapped time buckets; dedup when the window fits in
+        # one is unnecessary (the second copy just matches zero points)
         tb0 = ts // w_us
-        # both overlapped buckets; dedup when the window fits in one is
-        # unnecessary (the second copy just matches zero points)
-        tb = np.concatenate([tb0, tb0 + 1])
-        ts2 = np.concatenate([ts, ts])
-        wid2 = np.concatenate([wid, wid])
-        n = len(tb)
         return pa.table(
             {
-                "coarse": pa.array((tb % buckets).astype(np.int32)),
-                "tb": pa.array(tb),
-                "__role": pa.array(np.ones(n, np.int8)),
-                "ts": pa.array(ts2),
-                "cents": pa.array(np.zeros(n, np.int64)),
-                "window_id": pa.array(wid2),
+                "tb": pa.array(np.concatenate([tb0, tb0 + 1])),
+                "ts": pa.array(np.concatenate([ts, ts])),
+                "window_id": pa.array(np.concatenate([wid, wid]), pa.int64()),
             }
         )
 
-    def join_bucket(g: pd.DataFrame) -> pd.DataFrame:
-        wids: list[np.ndarray] = []
-        ns: list[np.ndarray] = []
-        sums: list[np.ndarray] = []
-        for _, sub in g.groupby("tb", sort=False):
-            roles = sub["__role"].to_numpy()
-            wins = sub.loc[roles == 1]
-            if not len(wins):
-                continue
-            pts = sub.loc[roles == 0]
-            ts = pts["ts"].to_numpy()
-            order = np.argsort(ts, kind="stable")
-            ts_s = ts[order]
-            cum = np.concatenate(
-                [[0], np.cumsum(pts["cents"].to_numpy()[order])]
-            )
-            t0 = wins["ts"].to_numpy()
-            lo = np.searchsorted(ts_s, t0, side="left")
-            hi = np.searchsorted(ts_s, t0 + w_us, side="left")
-            wids.append(wins["window_id"].to_numpy())
-            ns.append(hi - lo)
-            sums.append(cum[hi] - cum[lo])
-        if not wids:
-            return pd.DataFrame(
-                {
-                    "window_id": np.array([], np.int64),
-                    "n_events": np.array([], np.int64),
-                    "sum_cents": np.array([], np.int64),
-                }
-            )
+    def join_bucket(points: pd.DataFrame, windows: pd.DataFrame) -> pd.DataFrame:
+        if points.empty or windows.empty:
+            return pd.DataFrame()
+        # ts order is time-bucket order, so one sorted run serves every
+        # time bucket of this coarse bucket
+        order = np.argsort(points["ts"].to_numpy(), kind="stable")
+        ts_s = points["ts"].to_numpy()[order]
+        cum = np.concatenate([[0], np.cumsum(points["cents"].to_numpy()[order])])
+        t0 = windows["ts"].to_numpy()
+        tb = windows["tb"].to_numpy()
+        lo = np.searchsorted(ts_s, np.maximum(t0, tb * w_us), side="left")
+        hi = np.searchsorted(ts_s, np.minimum(t0 + w_us, (tb + 1) * w_us), side="left")
         return pd.DataFrame(
             {
-                "window_id": np.concatenate(wids).astype(np.int64),
-                "n_events": np.concatenate(ns).astype(np.int64),
-                "sum_cents": np.concatenate(sums).astype(np.int64),
+                "window_id": windows["window_id"].to_numpy(np.int64),
+                "n_events": (hi - lo).astype(np.int64),
+                "sum_cents": (cum[hi] - cum[lo]).astype(np.int64),
             }
         )
 
-    def rekey(batch: pa.Table) -> pa.Table:
-        w = batch.column("window_id").to_numpy(zero_copy_only=False)
-        return batch.append_column(
-            "wkey", pa.array((w % buckets).astype(np.int32))
-        )
-
-    def final_sum(g: pd.DataFrame) -> pd.DataFrame:
-        agg = g.groupby("window_id", sort=False)[["n_events", "sum_cents"]].sum()
-        return pd.DataFrame(
-            {
-                "window_id": agg.index.to_numpy().astype(np.int64),
-                "n_events": agg["n_events"].to_numpy().astype(np.int64),
-                "sum_cents": agg["sum_cents"].to_numpy().astype(np.int64),
-            }
-        )
+    def final_sum(parts: pd.DataFrame) -> pd.DataFrame:
+        if parts.empty:
+            return pd.DataFrame()
+        return parts.groupby("window_id", as_index=False).sum().astype(np.int64)
 
     ev = _t(sf_dir, "events", ["event_id", "ts", "event_type", "value"])
-    return (
-        ev.map_batches(point_rows, batch_format="pyarrow", zero_copy_batch=True)
-        .union(
-            ev.map_batches(window_rows, batch_format="pyarrow", zero_copy_batch=True)
-        )
-        .groupby("coarse")
-        .map_groups(arrow_udf(join_bucket), batch_format="pandas")
-        .map_batches(rekey, batch_format="pyarrow", zero_copy_batch=True)
-        .groupby("wkey")
-        .map_groups(arrow_udf(final_sum), batch_format="pandas")
+    partials = co_group(
+        join_bucket,
+        points=(
+            ev.map_batches(point_rows, batch_format="pyarrow", zero_copy_batch=True),
+            "tb",
+        ),
+        windows=(
+            ev.map_batches(window_rows, batch_format="pyarrow", zero_copy_batch=True),
+            "tb",
+        ),
     )
+    return co_group(final_sum, parts=(partials, "window_id"))
 
 
 def _dim_rollup(
@@ -783,18 +749,17 @@ def _dim_rollup(
     val_map: dict | None = None,
     val_default="UNKNOWN",
     distinct_alias: str | None = None,
-    buckets: int = 64,
 ) -> rd.Dataset:
     """Joined rollup in ONE data exchange: fact partial rows
-    ``(key, *sum_cols)`` and dim rows ``(dim_key, dim_val)`` co-shuffle
-    on ``key % buckets`` (multiplexed union, the curate_pages pattern),
-    each bucket merges and collapses to ≤|distinct dim_val| partial
-    rows, and a final constant-key combine sums the ≤ buckets×|vals|
-    leftovers.  Replaces the pre-agg-groupby → attach_dim-sort →
-    global-aggregate plan whose THREE AllToAll passes each carried
-    seconds of fixed overhead (brand_revenue measured 15.3 s at sf0.1;
-    Ray's AggregateMap alone spent ~600 ms/block sorting 1.2k-row
-    string-keyed blocks — SCALE.md §aggregate-overhead).
+    ``(key, *sum_cols)`` and dim rows ``(dim_key, dim_val)`` meet in one
+    :func:`co_group` bucket per key, each bucket merges and collapses
+    to ≤|distinct dim_val| partial rows, and a final ``out_key``
+    combine sums the ≤ buckets×|vals| leftovers.  Replaces the
+    pre-agg-groupby → attach_dim-sort → global-aggregate plan whose
+    THREE AllToAll passes each carried seconds of fixed overhead
+    (brand_revenue measured 15.3 s at sf0.1; Ray's AggregateMap alone
+    spent ~600 ms/block sorting 1.2k-row string-keyed blocks —
+    SCALE.md §aggregate-overhead).
 
     ``sums`` maps fact columns to output aliases (summed); a key's fact
     rows may arrive as multiple in-batch partials — sums are
@@ -802,119 +767,47 @@ def _dim_rollup(
     e.g. n_suppliers) stays exact because a key lives wholly in one
     bucket.  ``val_map`` composes a genuinely-tiny second dim (e.g.
     nationkey→region name) inside the bucket, so multi-hop rollups
-    still pay one exchange.  Int64 sums never pass through the pandas
-    float64 null-padding path — the union pads with typed ZEROS, so
-    values stay exact past 2^53 (the attach_dim cast note does not
-    apply here)."""
+    still pay one exchange.  Int64 sums stay int64 end to end."""
     import pandas as pd
 
     sum_cols = [c for c, _ in sums]
-    dim_val_type = dict(zip(dim.schema().names, dim.schema().types))[dim_val]
-    str_val = pa.types.is_string(dim_val_type) or pa.types.is_large_string(
-        dim_val_type
-    )
-
-    def _pad_val(n: int):
-        return pa.array([""] * n, dim_val_type) if str_val else pa.array(
-            np.zeros(n, np.int64), dim_val_type
-        )
-
-    def fact_rows(batch: pa.Table) -> pa.Table:
-        k = batch.column(key).to_numpy(zero_copy_only=False).astype(np.int64)
-        cols: dict = {
-            "bkt": pa.array((k % buckets).astype(np.int32)),
-            "__role": pa.array(np.zeros(len(k), np.int8)),
-            "__k": pa.array(k),
-            "__v": _pad_val(len(k)),
-        }
-        for c in sum_cols:
-            cols[c] = batch.column(c)
-        return pa.table(cols)
-
-    def dim_rows(batch: pa.Table) -> pa.Table:
-        k = batch.column(dim_key).to_numpy(zero_copy_only=False).astype(np.int64)
-        cols: dict = {
-            "bkt": pa.array((k % buckets).astype(np.int32)),
-            "__role": pa.array(np.ones(len(k), np.int8)),
-            "__k": pa.array(k),
-            "__v": batch.column(dim_val),
-        }
-        for c in sum_cols:
-            cols[c] = pa.array(np.zeros(len(k), np.int64))
-        return pa.table(cols)
-
     out_aliases = [a for _, a in sums]
     if distinct_alias:
         out_aliases = [distinct_alias, *out_aliases]
+    int_cols = {a: np.int64 for a in out_aliases}
 
-    def _typed(df_cols: dict) -> pd.DataFrame:
-        out = pd.DataFrame(df_cols)
-        for a in out_aliases:
-            out[a] = out[a].astype(np.int64)
-        return out
-
-    def combine(g: pd.DataFrame) -> pd.DataFrame:
-        is_dim = g["__role"].to_numpy() == 1
-        d = g.loc[is_dim, ["__k", "__v"]]
-        f = g.loc[~is_dim, ["__k", *sum_cols]]
-        m = f.merge(d, on="__k", how="inner")
+    def combine(fact: pd.DataFrame, dim: pd.DataFrame) -> pd.DataFrame:
+        if fact.empty or dim.empty:
+            return pd.DataFrame()
+        m = fact.merge(dim, left_on=key, right_on=dim_key)
+        v = m[dim_val]
         if val_map is not None:
-            m["__v"] = m["__v"].map(val_map).fillna(val_default)
-        grp = m.groupby("__v", sort=False)
-        cols: dict = {out_key: None}
-        agg = grp[sum_cols].sum()
-        cols[out_key] = agg.index.to_numpy()
-        for c, a in sums:
-            cols[a] = agg[c].to_numpy()
+            v = v.map(val_map).fillna(val_default)
+        grp = m.groupby(v.rename(out_key), sort=False)
+        agg = grp[sum_cols].sum().rename(columns=dict(sums))
         if distinct_alias:
-            cols[distinct_alias] = grp["__k"].nunique().to_numpy()
-        return _typed(cols)[[out_key, *out_aliases]]
-
-    def add_const(batch: pa.Table) -> pa.Table:
-        return batch.append_column(
-            "__fk", pa.array(np.zeros(batch.num_rows, np.int8))
-        )
+            agg[distinct_alias] = grp[key].nunique()
+        return agg.reset_index()[[out_key, *out_aliases]].astype(int_cols)
 
     def final(g: pd.DataFrame) -> pd.DataFrame:
-        agg = g.groupby(out_key, sort=False)[out_aliases].sum()
-        cols: dict = {out_key: agg.index.to_numpy()}
-        for a in out_aliases:
-            cols[a] = agg[a].to_numpy()
-        return _typed(cols)[[out_key, *out_aliases]]
+        out = g.groupby(out_key, as_index=False, sort=False)[out_aliases].sum()
+        return out.astype(int_cols)
 
     return (
-        fact.map_batches(fact_rows, batch_format="pyarrow", zero_copy_batch=True)
-        .union(
-            dim.map_batches(dim_rows, batch_format="pyarrow", zero_copy_batch=True)
-        )
-        .groupby("bkt")
-        .map_groups(arrow_udf(combine), batch_format="pandas")
-        .map_batches(add_const, batch_format="pyarrow", zero_copy_batch=True)
-        .groupby("__fk")
+        co_group(combine, fact=(fact, key), dim=(dim, dim_key))
+        .groupby(out_key)
         .map_groups(arrow_udf(final), batch_format="pandas")
     )
 
 
 def _lineitem_revenue_partials(sf_dir: str, key: str) -> rd.Dataset:
     """In-batch partials of discounted lineitem revenue per ``key``
-    (l_partkey / l_suppkey): rev_cc = price_cents × (100 − disc_pct) is
-    PURE INTEGER arithmetic after the per-column cents/percent rounding
-    (both 2-decimal columns, so ×100 lands on integers ± fp noise and
-    the rounding mode can't diverge from the SQL oracle) — the sum is
-    associative and float-safe at any reduction order.  No global
-    groupby here: consumers co-shuffle the partials once in
+    (l_partkey / l_suppkey), :func:`_rev_cc` units.  No global groupby
+    here: consumers co-shuffle the partials once in
     :func:`_dim_rollup`, which tolerates multiple partial rows per key."""
 
     def partial(batch: pa.Table) -> pa.Table:
-        price = pc.cast(
-            pc.round(pc.multiply(batch.column("l_extendedprice"), 100.0)),
-            pa.int64(),
-        )
-        disc = pc.cast(
-            pc.round(pc.multiply(batch.column("l_discount"), 100.0)), pa.int64()
-        )
-        rev = pc.multiply(price, pc.subtract(pa.scalar(100, pa.int64()), disc))
-        t = pa.table({key: batch.column(key), "rev_cc": rev})
+        t = pa.table({key: batch.column(key), "rev_cc": _rev_cc(batch)})
         g = t.group_by([key]).aggregate(
             [("rev_cc", "sum"), ("rev_cc", "count")]
         )
@@ -936,7 +829,7 @@ def brand_revenue(sf_dir: str) -> rd.Dataset:
     rollup.  In-batch revenue partials per partkey, then — because
     ``part`` SCALES with the data (10^8 rows at 100 TB, never a
     broadcast dict) — ONE :func:`_dim_rollup` co-shuffle on
-    partkey % K merges brands in-bucket and collapses straight to the
+    partkey merges brands in-bucket and collapses straight to the
     25-brand result."""
     return _dim_rollup(
         _lineitem_revenue_partials(sf_dir, "l_partkey"),
@@ -1345,24 +1238,17 @@ def sales_opportunity(sf_dir: str) -> rd.Dataset:
     on either side.
 
     Scale shape: pass 1 folds per-batch (sum, count) positive-balance
-    partials (driver state: two ints).  Pass 2 is ONE multiplexed
-    co-shuffle on custkey % K: threshold-surviving customer rows and
+    partials (driver state: two ints).  Pass 2 is ONE custkey
+    :func:`co_group`: threshold-surviving customer rows and
     per-batch-distinct urgent-order custkeys land in the same bucket,
     the bucket's vectorized isin drops blocked customers, and partial
     segment rollups (≤ buckets·segments narrow rows) fold in a final
     segment-keyed combine.  The anti-join side never becomes a
     broadcast set — urgent keys stay bucket-local."""
-    import numpy as np
     import pandas as pd
 
-    from .io_util import arrow_udf
-
-    buckets = 64
-
     def pos_partial(batch: pa.Table) -> pa.Table:
-        cents = pc.cast(
-            pc.round(pc.multiply(batch.column("c_acctbal"), 100.0)), pa.int64()
-        ).to_numpy(zero_copy_only=False)
+        cents = _cents(batch.column("c_acctbal")).to_numpy(zero_copy_only=False)
         pos = cents[cents > 0]
         return pa.table(
             {
@@ -1379,50 +1265,30 @@ def sales_opportunity(sf_dir: str) -> rd.Dataset:
     sum_pos, n_pos = int(parts["s"].sum()), int(parts["n"].sum())
 
     def cust_rows(batch: pa.Table) -> pa.Table:
-        cents = pc.cast(
-            pc.round(pc.multiply(batch.column("c_acctbal"), 100.0)), pa.int64()
-        ).to_numpy(zero_copy_only=False)
-        keep = cents * n_pos > sum_pos
-        k = batch.column("c_custkey").to_numpy(zero_copy_only=False)[keep]
+        cents = _cents(batch.column("c_acctbal"))
+        keep = pa.array(cents.to_numpy(zero_copy_only=False) * n_pos > sum_pos)
         return pa.table(
             {
-                "bkt": pa.array((k % buckets).astype(np.int32)),
-                "k": pa.array(k, pa.int64()),
-                "role": pa.array(np.zeros(len(k), np.int8)),
-                "seg": pc.array_filter(
-                    batch.column("c_mktsegment"), pa.array(keep)
-                ),
-                "cents": pa.array(cents[keep], pa.int64()),
+                "c_custkey": batch.column("c_custkey"),
+                "c_mktsegment": batch.column("c_mktsegment"),
+                "cents": cents,
             }
-        )
+        ).filter(keep)
 
-    def order_rows(batch: pa.Table) -> pa.Table:
+    def urgent_keys(batch: pa.Table) -> pa.Table:
         mask = pc.equal(batch.column("o_orderpriority"), OPPORTUNITY_PRIORITY)
-        k = np.unique(
-            batch.filter(mask).column("o_custkey").to_numpy(
-                zero_copy_only=False
-            )
-        )
         return pa.table(
-            {
-                "bkt": pa.array((k % buckets).astype(np.int32)),
-                "k": pa.array(k, pa.int64()),
-                "role": pa.array(np.ones(len(k), np.int8)),
-                "seg": pa.array([""] * len(k), pa.string()),
-                "cents": pa.array(np.zeros(len(k), np.int64)),
-            }
+            {"o_custkey": pc.unique(batch.filter(mask).column("o_custkey"))}
         )
 
-    def antijoin(g: pd.DataFrame) -> pd.DataFrame:
-        blocked = g.loc[g["role"] == 1, "k"]
-        keep = g[(g["role"] == 0) & ~g["k"].isin(blocked)]
-        out = keep.groupby("seg", as_index=False).agg(
-            n_customers=("k", "size"), sum_acctbal_cents=("cents", "sum")
-        )
-        out = out.rename(columns={"seg": "c_mktsegment"})
-        out["n_customers"] = out["n_customers"].astype(np.int64)
-        out["sum_acctbal_cents"] = out["sum_acctbal_cents"].astype(np.int64)
-        return out
+    def antijoin(cust: pd.DataFrame, urgent: pd.DataFrame) -> pd.DataFrame:
+        if cust.empty:
+            return pd.DataFrame()
+        if not urgent.empty:
+            cust = cust[~cust["c_custkey"].isin(urgent["o_custkey"])]
+        return cust.groupby("c_mktsegment", as_index=False).agg(
+            n_customers=("c_custkey", "size"), sum_acctbal_cents=("cents", "sum")
+        ).astype({"n_customers": np.int64, "sum_acctbal_cents": np.int64})
 
     def combine(g: pd.DataFrame) -> pd.DataFrame:
         return pd.DataFrame(
@@ -1438,13 +1304,11 @@ def sales_opportunity(sf_dir: str) -> rd.Dataset:
     cust = _t(
         sf_dir, "customer", ["c_custkey", "c_acctbal", "c_mktsegment"]
     ).map_batches(cust_rows, batch_format="pyarrow", zero_copy_batch=True)
-    ords = _t(sf_dir, "orders", ["o_custkey", "o_orderpriority"]).map_batches(
-        order_rows, batch_format="pyarrow", zero_copy_batch=True
+    urgent = _t(sf_dir, "orders", ["o_custkey", "o_orderpriority"]).map_batches(
+        urgent_keys, batch_format="pyarrow", zero_copy_batch=True
     )
     return (
-        cust.union(ords)
-        .groupby("bkt")
-        .map_groups(arrow_udf(antijoin), batch_format="pandas")
+        co_group(antijoin, cust=(cust, "c_custkey"), urgent=(urgent, "o_custkey"))
         .groupby("c_mktsegment")
         .map_groups(arrow_udf(combine), batch_format="pandas")
     )
@@ -1614,114 +1478,50 @@ def large_orders(sf_dir: str) -> rd.Dataset:
     (quantity in integer cents, same round(×100) discipline as every
     money column), enriched with the ordering customer's name.
 
-    Scale shape: two multiplexed co-shuffles, no broadcast.  (1)
-    in-batch Arrow group_by partials of qty cents per orderkey union
-    order rows, co-shuffled on orderkey % K; the bucket folds partials,
-    applies the threshold (survivors are a tiny fraction — Q18 semantics)
-    and attaches (custkey, totalprice).  (2) survivors union customer
-    rows co-shuffled on custkey % K attach c_name in-bucket.  Both
-    exchanges carry narrow integer rows; the fact table itself never
-    shuffles (per-batch partials bound pass-1 traffic by
-    orderkey-cardinality × blocks)."""
+    Scale shape: two :func:`co_group` exchanges, no broadcast.  (1)
+    in-batch Arrow group_by partials of qty cents per orderkey meet
+    order rows on orderkey; the bucket folds partials, applies the
+    threshold (survivors are a tiny fraction — Q18 semantics) and
+    attaches (custkey, total).  (2) survivors meet customer rows on
+    custkey and attach c_name in-bucket.  Both exchanges carry narrow
+    rows; the fact table itself never shuffles (per-batch partials
+    bound pass-1 traffic by orderkey-cardinality × blocks)."""
     import pandas as pd
 
-    buckets = 64
-
     def li_partials(batch: pa.Table) -> pa.Table:
-        qty = pc.cast(
-            pc.round(pc.multiply(batch.column("l_quantity"), 100.0)), pa.int64()
-        )
         g = (
-            pa.table({"k": batch.column("l_orderkey"), "q": qty})
-            .group_by(["k"])
+            pa.table(
+                {
+                    "l_orderkey": batch.column("l_orderkey"),
+                    "q": _cents(batch.column("l_quantity")),
+                }
+            )
+            .group_by(["l_orderkey"])
             .aggregate([("q", "sum")])
         )
-        k = g.column("k").to_numpy(zero_copy_only=False)
-        n = len(k)
-        return pa.table(
-            {
-                "bkt": pa.array((k % buckets).astype(np.int32)),
-                "k": pa.array(k, pa.int64()),
-                "role": pa.array(np.zeros(n, np.int8)),
-                "v1": g.column("q_sum"),
-                "v2": pa.array(np.zeros(n, np.int64)),
-            }
-        )
+        return g.rename_columns(["l_orderkey", "sum_qty_cents"])
 
     def order_rows(batch: pa.Table) -> pa.Table:
-        k = batch.column("o_orderkey").to_numpy(zero_copy_only=False)
-        total = pc.cast(
-            pc.round(pc.multiply(batch.column("o_totalprice"), 100.0)), pa.int64()
-        )
         return pa.table(
             {
-                "bkt": pa.array((k % buckets).astype(np.int32)),
-                "k": pa.array(k, pa.int64()),
-                "role": pa.array(np.ones(len(k), np.int8)),
-                "v1": batch.column("o_custkey"),
-                "v2": total,
+                "o_orderkey": batch.column("o_orderkey"),
+                "c_custkey": batch.column("o_custkey"),
+                "total_cents": _cents(batch.column("o_totalprice")),
             }
         )
 
-    def fold_orders(g: pd.DataFrame) -> pa.Table:
-        li = g[g["role"] == 0]
-        qty = li.groupby("k")["v1"].sum()
+    def fold_orders(li: pd.DataFrame, orders: pd.DataFrame) -> pd.DataFrame:
+        if li.empty or orders.empty:
+            return pd.DataFrame()
+        qty = li.groupby("l_orderkey")["sum_qty_cents"].sum()
         big = qty[qty.to_numpy() > LARGE_ORDER_MIN_QTY_CENTS]
-        o = g[g["role"] == 1].set_index("k")
-        o = o.loc[o.index.intersection(big.index)]
-        ck = o["v1"].to_numpy(np.int64)
-        # explicit Arrow output: an empty pandas object column would
-        # degrade to null type and break the union/groupby schema unify
-        return pa.table(
-            {
-                "cbkt": pa.array((ck % buckets).astype(np.int32)),
-                "ck": pa.array(ck, pa.int64()),
-                "crole": pa.array(np.zeros(len(o), np.int8)),
-                "o_orderkey": pa.array(o.index.to_numpy(np.int64), pa.int64()),
-                "total_cents": pa.array(o["v2"].to_numpy(np.int64), pa.int64()),
-                "sum_qty_cents": pa.array(
-                    big.loc[o.index].to_numpy(np.int64), pa.int64()
-                ),
-                "c_name": pa.array([""] * len(o), pa.string()),
-            }
-        )
+        return orders.merge(big, left_on="o_orderkey", right_index=True)
 
-    def cust_rows(batch: pa.Table) -> pa.Table:
-        ck = batch.column("c_custkey").to_numpy(zero_copy_only=False)
-        n = len(ck)
-        z = np.zeros(n, np.int64)
-        return pa.table(
-            {
-                "cbkt": pa.array((ck % buckets).astype(np.int32)),
-                "ck": pa.array(ck, pa.int64()),
-                "crole": pa.array(np.ones(n, np.int8)),
-                "o_orderkey": pa.array(z),
-                "total_cents": pa.array(z),
-                "sum_qty_cents": pa.array(z),
-                "c_name": batch.column("c_name"),
-            }
-        )
-
-    def attach_name(g: pd.DataFrame) -> pa.Table:
-        keep = g[g["crole"] == 0]
-        names = g[g["crole"] == 1].set_index("ck")["c_name"]
-        return pa.table(
-            {
-                "o_orderkey": pa.array(
-                    keep["o_orderkey"].to_numpy(np.int64), pa.int64()
-                ),
-                "c_custkey": pa.array(keep["ck"].to_numpy(np.int64), pa.int64()),
-                "c_name": pa.array(
-                    [str(v) for v in names.reindex(keep["ck"])], pa.string()
-                ),
-                "total_cents": pa.array(
-                    keep["total_cents"].to_numpy(np.int64), pa.int64()
-                ),
-                "sum_qty_cents": pa.array(
-                    keep["sum_qty_cents"].to_numpy(np.int64), pa.int64()
-                ),
-            }
-        )
+    def attach_name(big: pd.DataFrame, cust: pd.DataFrame) -> pd.DataFrame:
+        if big.empty or cust.empty:
+            return pd.DataFrame()
+        m = big.merge(cust, on="c_custkey")
+        return m[["o_orderkey", "c_custkey", "c_name", "total_cents", "sum_qty_cents"]]
 
     li = _t(sf_dir, "lineitem", ["l_orderkey", "l_quantity"]).map_batches(
         li_partials, batch_format="pyarrow", zero_copy_batch=True
@@ -1729,16 +1529,11 @@ def large_orders(sf_dir: str) -> rd.Dataset:
     ords = _t(
         sf_dir, "orders", ["o_orderkey", "o_custkey", "o_totalprice"]
     ).map_batches(order_rows, batch_format="pyarrow", zero_copy_batch=True)
-    cust = _t(sf_dir, "customer", ["c_custkey", "c_name"]).map_batches(
-        cust_rows, batch_format="pyarrow", zero_copy_batch=True
-    )
-    return (
-        li.union(ords)
-        .groupby("bkt")
-        .map_groups(arrow_udf(fold_orders), batch_format="pandas")
-        .union(cust)
-        .groupby("cbkt")
-        .map_groups(arrow_udf(attach_name), batch_format="pandas")
+    big = co_group(fold_orders, li=(li, "l_orderkey"), orders=(ords, "o_orderkey"))
+    return co_group(
+        attach_name,
+        big=(big, "c_custkey"),
+        cust=(_t(sf_dir, "customer", ["c_custkey", "c_name"]), "c_custkey"),
     )
 
 
@@ -1831,79 +1626,55 @@ def promo_revenue_share(sf_dir: str) -> rd.Dataset:
     in arbitrary-precision Python ints so a 100 TB month can't overflow
     the ×10⁶ product).
 
-    Scale shape: ONE partkey-keyed co-shuffle.  Lineitem folds to
+    Scale shape: ONE partkey :func:`co_group`.  Lineitem folds to
     per-batch (partkey, month, rev_cc) Arrow partials; part ships only
     (partkey, is_promo) rows — the part table SCALES (10⁸ rows at
     100 TB), so it is never a broadcast dict.  Each bucket classifies
-    its partials via a bucket-local partkey→promo map and collapses to
-    per-month (promo, total) sums — the second exchange carries
+    its partials via an inner merge and collapses to per-month
+    (promo, total) sums — the second exchange carries
     ≤ buckets × months rows into a month-keyed combine."""
     import pandas as pd
 
-    buckets = 64
-
     def li_partials(batch: pa.Table) -> pa.Table:
-        price = pc.cast(
-            pc.round(pc.multiply(batch.column("l_extendedprice"), 100.0)),
-            pa.int64(),
-        )
-        disc = pc.cast(
-            pc.round(pc.multiply(batch.column("l_discount"), 100.0)), pa.int64()
-        )
-        rev = pc.multiply(price, pc.subtract(pa.scalar(100, pa.int64()), disc))
+        ship = batch.column("l_shipdate")
         month = pc.add(
-            pc.multiply(pc.cast(pc.year(batch.column("l_shipdate")), pa.int64()), 100),
-            pc.cast(pc.month(batch.column("l_shipdate")), pa.int64()),
+            pc.multiply(pc.cast(pc.year(ship), pa.int64()), 100),
+            pc.cast(pc.month(ship), pa.int64()),
         )
         g = (
-            pa.table({"k": batch.column("l_partkey"), "m": month, "rev": rev})
-            .group_by(["k", "m"])
+            pa.table(
+                {"l_partkey": batch.column("l_partkey"), "ship_month": month,
+                 "rev": _rev_cc(batch)}
+            )
+            .group_by(["l_partkey", "ship_month"])
             .aggregate([("rev", "sum")])
         )
-        k = g.column("k").to_numpy(zero_copy_only=False)
-        return pa.table(
-            {
-                "bkt": pa.array((k % buckets).astype(np.int32)),
-                "k": pa.array(k, pa.int64()),
-                "role": pa.array(np.zeros(len(k), np.int8)),
-                "m": g.column("m"),
-                "rev": g.column("rev_sum"),
-            }
-        )
+        return g.rename_columns(["l_partkey", "ship_month", "rev"])
 
     def part_rows(batch: pa.Table) -> pa.Table:
-        k = batch.column("p_partkey").to_numpy(zero_copy_only=False)
-        promo = pc.cast(
-            pc.starts_with(batch.column("p_type"), "PROMO"), pa.int64()
-        )
         return pa.table(
             {
-                "bkt": pa.array((k % buckets).astype(np.int32)),
-                "k": pa.array(k, pa.int64()),
-                "role": pa.array(np.ones(len(k), np.int8)),
-                "m": promo,
-                "rev": pa.array(np.zeros(len(k), np.int64)),
+                "p_partkey": batch.column("p_partkey"),
+                "promo": pc.cast(
+                    pc.starts_with(batch.column("p_type"), "PROMO"), pa.int64()
+                ),
             }
         )
 
-    def bucket_month_partials(g: pd.DataFrame) -> pd.DataFrame:
-        li = g[g["role"] == 0]
-        promo_of = g[g["role"] == 1].set_index("k")["m"]
-        flag = promo_of.reindex(li["k"])
+    def bucket_month_partials(li: pd.DataFrame, part: pd.DataFrame) -> pd.DataFrame:
+        if li.empty or part.empty:
+            return pd.DataFrame()
         # inner-join semantics: a partkey absent from part drops the
         # lineitem row, exactly like the SQL oracle's JOIN
-        li = li[flag.notna().to_numpy()]
-        is_promo = flag.dropna().to_numpy(np.int64)
-        rev = li["rev"].to_numpy(np.int64)
+        m = li.merge(part, left_on="l_partkey", right_on="p_partkey")
         df = pd.DataFrame(
             {
-                "ship_month": li["m"].to_numpy(np.int64),
-                "promo": rev * is_promo,
-                "total": rev,
+                "ship_month": m["ship_month"],
+                "promo": m["rev"] * m["promo"],
+                "total": m["rev"],
             }
         )
-        out = df.groupby("ship_month", as_index=False).sum()
-        return out.astype(np.int64)
+        return df.groupby("ship_month", as_index=False).sum().astype(np.int64)
 
     def month_combine(g: pd.DataFrame) -> pd.DataFrame:
         promo = int(g["promo"].sum())
@@ -1926,9 +1697,7 @@ def promo_revenue_share(sf_dir: str) -> rd.Dataset:
         part_rows, batch_format="pyarrow", zero_copy_batch=True
     )
     return (
-        li.union(parts)
-        .groupby("bkt")
-        .map_groups(arrow_udf(bucket_month_partials), batch_format="pandas")
+        co_group(bucket_month_partials, li=(li, "l_partkey"), part=(parts, "p_partkey"))
         .groupby("ship_month")
         .map_groups(arrow_udf(month_combine), batch_format="pandas")
     )
@@ -2019,7 +1788,7 @@ def returned_items(sf_dir: str, k: int = RETURNED_TOP_K) -> rd.Dataset:
     by c_custkey ascending (deterministic, oracle-stable).
 
     Scale shape: the returnflag filter prunes at the batch level; two
-    multiplexed co-shuffles (orderkey → attach custkey, custkey →
+    :func:`co_group` exchanges (orderkey → attach custkey, custkey →
     exact per-customer totals + name), both carrying narrow integer
     partials.  Each custkey bucket keeps only its LOCAL top-k (a global
     winner always wins its own bucket), the 25-row nation map composes
@@ -2027,98 +1796,41 @@ def returned_items(sf_dir: str, k: int = RETURNED_TOP_K) -> rd.Dataset:
     from ≤ buckets·k candidates."""
     import pandas as pd
 
-    buckets = 64
     nation = _small_table_dict(sf_dir, "nation", "n_nationkey", "n_name")
 
     def li_partials(batch: pa.Table) -> pa.Table:
-        mask = pc.equal(batch.column("l_returnflag"), "R")
-        b = batch.filter(mask)
-        price = pc.cast(
-            pc.round(pc.multiply(b.column("l_extendedprice"), 100.0)), pa.int64()
-        )
-        disc = pc.cast(
-            pc.round(pc.multiply(b.column("l_discount"), 100.0)), pa.int64()
-        )
-        rev = pc.multiply(price, pc.subtract(pa.scalar(100, pa.int64()), disc))
+        b = batch.filter(pc.equal(batch.column("l_returnflag"), "R"))
         g = (
-            pa.table({"k": b.column("l_orderkey"), "rev": rev})
-            .group_by(["k"])
+            pa.table({"l_orderkey": b.column("l_orderkey"), "rev": _rev_cc(b)})
+            .group_by(["l_orderkey"])
             .aggregate([("rev", "sum")])
         )
-        kk = g.column("k").to_numpy(zero_copy_only=False)
-        return pa.table(
-            {
-                "bkt": pa.array((kk % buckets).astype(np.int32)),
-                "k": pa.array(kk, pa.int64()),
-                "role": pa.array(np.zeros(len(kk), np.int8)),
-                "v": g.column("rev_sum"),
-            }
-        )
+        return g.rename_columns(["l_orderkey", "rev"])
 
-    def order_rows(batch: pa.Table) -> pa.Table:
-        kk = batch.column("o_orderkey").to_numpy(zero_copy_only=False)
-        return pa.table(
-            {
-                "bkt": pa.array((kk % buckets).astype(np.int32)),
-                "k": pa.array(kk, pa.int64()),
-                "role": pa.array(np.ones(len(kk), np.int8)),
-                "v": batch.column("o_custkey"),
-            }
-        )
+    def to_cust(li: pd.DataFrame, orders: pd.DataFrame) -> pd.DataFrame:
+        if li.empty or orders.empty:
+            return pd.DataFrame()
+        m = li.merge(orders, left_on="l_orderkey", right_on="o_orderkey")
+        return m.groupby("o_custkey", as_index=False)["rev"].sum()
 
-    def to_cust(g: pd.DataFrame) -> pd.DataFrame:
-        li = g[g["role"] == 0]
-        cust_of = g[g["role"] == 1].set_index("k")["v"]
-        ck = cust_of.reindex(li["k"])
-        li = li[ck.notna().to_numpy()]
-        ck = ck.dropna().to_numpy(np.int64)
-        out = pd.DataFrame(
-            {"ck": ck, "rev": li["v"].to_numpy(np.int64)}
-        ).groupby("ck", as_index=False)["rev"].sum()
-        c = out["ck"].to_numpy(np.int64)
-        return pd.DataFrame(
-            {
-                "cbkt": (c % buckets).astype(np.int32),
-                "ck": c,
-                "crole": np.zeros(len(c), np.int8),
-                "rev": out["rev"].to_numpy(np.int64),
-                "c_name": pd.array([""] * len(c), dtype="string"),
-                "nk": np.zeros(len(c), np.int64),
-            }
-        )
-
-    def cust_rows(batch: pa.Table) -> pa.Table:
-        ck = batch.column("c_custkey").to_numpy(zero_copy_only=False)
-        n = len(ck)
-        return pa.table(
-            {
-                "cbkt": pa.array((ck % buckets).astype(np.int32)),
-                "ck": pa.array(ck, pa.int64()),
-                "crole": pa.array(np.ones(n, np.int8)),
-                "rev": pa.array(np.zeros(n, np.int64)),
-                "c_name": batch.column("c_name"),
-                "nk": pc.cast(batch.column("c_nationkey"), pa.int64()),
-            }
-        )
-
-    def local_topk(g: pd.DataFrame) -> pa.Table:
-        li = g[g["crole"] == 0]
-        tot = li.groupby("ck", as_index=False)["rev"].sum()
+    def local_topk(rev: pd.DataFrame, cust: pd.DataFrame) -> pa.Table:
+        if rev.empty or cust.empty:
+            return pd.DataFrame()
+        tot = rev.groupby("o_custkey", as_index=False)["rev"].sum()
         tot = tot.sort_values(
-            ["rev", "ck"], ascending=[False, True], kind="stable"
+            ["rev", "o_custkey"], ascending=[False, True], kind="stable"
         ).head(k)
-        info = g[g["crole"] == 1].set_index("ck")
-        names = info["c_name"].reindex(tot["ck"])
-        nks = info["nk"].reindex(tot["ck"]).to_numpy(np.int64)
+        m = tot.merge(cust, left_on="o_custkey", right_on="c_custkey")
         return pa.table(
             {
-                "fin": pa.array(np.zeros(len(tot), np.int8)),
-                "c_custkey": pa.array(tot["ck"].to_numpy(np.int64), pa.int64()),
-                "c_name": pa.array([str(v) for v in names], pa.string()),
+                "fin": pa.array(np.zeros(len(m), np.int8)),
+                "c_custkey": pa.array(m["c_custkey"].to_numpy(np.int64)),
+                "c_name": pa.array(m["c_name"], pa.string()),
                 "n_name": pa.array(
-                    [nation.get(int(x), "UNKNOWN") for x in nks], pa.string()
+                    [nation.get(int(x), "UNKNOWN") for x in m["c_nationkey"]],
+                    pa.string(),
                 ),
-                "revenue_cc": pa.array(tot["rev"].to_numpy(np.int64), pa.int64()),
+                "revenue_cc": pa.array(m["rev"].to_numpy(np.int64)),
             }
         )
 
@@ -2134,19 +1846,14 @@ def returned_items(sf_dir: str, k: int = RETURNED_TOP_K) -> rd.Dataset:
         sf_dir, "lineitem",
         ["l_orderkey", "l_returnflag", "l_extendedprice", "l_discount"],
     ).map_batches(li_partials, batch_format="pyarrow", zero_copy_batch=True)
-    ords = _t(sf_dir, "orders", ["o_orderkey", "o_custkey"]).map_batches(
-        order_rows, batch_format="pyarrow", zero_copy_batch=True
+    rev = co_group(
+        to_cust,
+        li=(li, "l_orderkey"),
+        orders=(_t(sf_dir, "orders", ["o_orderkey", "o_custkey"]), "o_orderkey"),
     )
-    cust = _t(
-        sf_dir, "customer", ["c_custkey", "c_name", "c_nationkey"]
-    ).map_batches(cust_rows, batch_format="pyarrow", zero_copy_batch=True)
+    cust = _t(sf_dir, "customer", ["c_custkey", "c_name", "c_nationkey"])
     return (
-        li.union(ords)
-        .groupby("bkt")
-        .map_groups(arrow_udf(to_cust), batch_format="pandas")
-        .union(cust)
-        .groupby("cbkt")
-        .map_groups(arrow_udf(local_topk), batch_format="pandas")
+        co_group(local_topk, rev=(rev, "o_custkey"), cust=(cust, "c_custkey"))
         .groupby("fin")
         .map_groups(arrow_udf(final_topk), batch_format="pandas")
     )
@@ -2163,56 +1870,26 @@ def order_priority_counts(sf_dir: str) -> rd.Dataset:
 
     Scale shape: lineitem collapses per batch to (orderkey,
     max shipdate) partials — max is associative, so the semi-join probe
-    is one orderkey-keyed co-shuffle of 16-byte rows against order
+    is one orderkey :func:`co_group` of 16-byte rows against order
     (okey, priority, odate) rows; each bucket applies the
     max_ship > odate gate and collapses to ≤ priorities partial counts;
     a final priority-keyed combine folds buckets × 5 rows."""
     import pandas as pd
 
-    buckets = 64
-
     def li_partials(batch: pa.Table) -> pa.Table:
-        ship = pc.cast(batch.column("l_shipdate"), pa.int64())
-        g = (
-            pa.table({"k": batch.column("l_orderkey"), "s": ship})
-            .group_by(["k"])
-            .aggregate([("s", "max")])
-        )
-        kk = g.column("k").to_numpy(zero_copy_only=False)
-        return pa.table(
-            {
-                "bkt": pa.array((kk % buckets).astype(np.int32)),
-                "k": pa.array(kk, pa.int64()),
-                "role": pa.array(np.zeros(len(kk), np.int8)),
-                "v": g.column("s_max"),
-                "pri": pa.array([""] * len(kk), pa.string()),
-            }
+        return batch.group_by(["l_orderkey"]).aggregate(
+            [("l_shipdate", "max")]
         )
 
-    def order_rows(batch: pa.Table) -> pa.Table:
-        kk = batch.column("o_orderkey").to_numpy(zero_copy_only=False)
-        return pa.table(
-            {
-                "bkt": pa.array((kk % buckets).astype(np.int32)),
-                "k": pa.array(kk, pa.int64()),
-                "role": pa.array(np.ones(len(kk), np.int8)),
-                "v": pc.cast(batch.column("o_orderdate"), pa.int64()),
-                "pri": batch.column("o_orderpriority"),
-            }
-        )
-
-    def gate(g: pd.DataFrame) -> pd.DataFrame:
-        li = g[g["role"] == 0]
-        max_ship = li.groupby("k")["v"].max()
-        o = g[g["role"] == 1]
-        ms = max_ship.reindex(o["k"]).to_numpy()
-        keep = o[(~pd.isna(ms)) & (ms > o["v"].to_numpy())]
-        out = keep.groupby("pri", as_index=False).size()
-        return pd.DataFrame(
-            {
-                "o_orderpriority": out["pri"],
-                "n_orders": out["size"].to_numpy(np.int64),
-            }
+    def gate(li: pd.DataFrame, orders: pd.DataFrame) -> pd.DataFrame:
+        if li.empty or orders.empty:
+            return pd.DataFrame()
+        max_ship = li.groupby("l_orderkey")["l_shipdate_max"].max()
+        o = orders.merge(max_ship, left_on="o_orderkey", right_index=True)
+        keep = o[o["l_shipdate_max"] > o["o_orderdate"]]
+        out = keep.groupby("o_orderpriority", as_index=False).size()
+        return out.rename(columns={"size": "n_orders"}).astype(
+            {"n_orders": np.int64}
         )
 
     def combine(g: pd.DataFrame) -> pd.DataFrame:
@@ -2226,13 +1903,9 @@ def order_priority_counts(sf_dir: str) -> rd.Dataset:
     li = _t(sf_dir, "lineitem", ["l_orderkey", "l_shipdate"]).map_batches(
         li_partials, batch_format="pyarrow", zero_copy_batch=True
     )
-    ords = _t(
-        sf_dir, "orders", ["o_orderkey", "o_orderdate", "o_orderpriority"]
-    ).map_batches(order_rows, batch_format="pyarrow", zero_copy_batch=True)
+    ords = _t(sf_dir, "orders", ["o_orderkey", "o_orderdate", "o_orderpriority"])
     return (
-        li.union(ords)
-        .groupby("bkt")
-        .map_groups(arrow_udf(gate), batch_format="pandas")
+        co_group(gate, li=(li, "l_orderkey"), orders=(ords, "o_orderkey"))
         .groupby("o_orderpriority")
         .map_groups(arrow_udf(combine), batch_format="pandas")
     )
@@ -2247,66 +1920,35 @@ def segment_order_quantiles(sf_dir: str) -> rd.Dataset:
     per-cohort spend distribution, THROUGH a join (contrast
     :func:`event_quantiles`, which quantiles a single table).
 
-    Scale shape: one custkey-keyed co-shuffle attaches the segment to
-    per-batch (custkey, cents, n) order partials; each bucket collapses
-    immediately to its (segment, cents) partial HISTOGRAM — the
-    second exchange carries distinct-value counts, never orders — and
-    the per-segment fold reads quantiles off sorted cumulative counts.
-    Quantile index = max(1, ceil(q·n)), matching DuckDB's
-    quantile_disc (same rule as event_quantiles)."""
+    Scale shape: one custkey :func:`co_group` attaches the segment to
+    order (custkey, cents) rows; each bucket collapses immediately to
+    its (segment, cents) partial HISTOGRAM — the second exchange
+    carries distinct-value counts, never orders — and the per-segment
+    fold reads quantiles off sorted cumulative counts.  Quantile index
+    = max(1, ceil(q·n)), matching DuckDB's quantile_disc (same rule as
+    event_quantiles)."""
     import math
 
     import pandas as pd
 
-    buckets = 64
-
     def order_rows(batch: pa.Table) -> pa.Table:
-        ck = batch.column("o_custkey").to_numpy(zero_copy_only=False)
-        cents = pc.cast(
-            pc.round(pc.multiply(batch.column("o_totalprice"), 100.0)),
-            pa.int64(),
-        )
         return pa.table(
             {
-                "bkt": pa.array((ck % buckets).astype(np.int32)),
-                "k": pa.array(ck, pa.int64()),
-                "role": pa.array(np.zeros(len(ck), np.int8)),
-                "cents": cents,
-                "seg": pa.array([""] * len(ck), pa.string()),
+                "o_custkey": batch.column("o_custkey"),
+                "cents": _cents(batch.column("o_totalprice")),
             }
         )
 
-    def cust_rows(batch: pa.Table) -> pa.Table:
-        ck = batch.column("c_custkey").to_numpy(zero_copy_only=False)
-        return pa.table(
-            {
-                "bkt": pa.array((ck % buckets).astype(np.int32)),
-                "k": pa.array(ck, pa.int64()),
-                "role": pa.array(np.ones(len(ck), np.int8)),
-                "cents": pa.array(np.zeros(len(ck), np.int64)),
-                "seg": batch.column("c_mktsegment"),
-            }
-        )
-
-    def hist_partials(g: pd.DataFrame) -> pd.DataFrame:
-        o = g[g["role"] == 0]
-        seg_of = g[g["role"] == 1].set_index("k")["seg"]
-        seg = seg_of.reindex(o["k"])
-        o = o[seg.notna().to_numpy()]
-        df = pd.DataFrame(
-            {
-                "c_mktsegment": seg.dropna().to_numpy(),
-                "cents": o["cents"].to_numpy(np.int64),
-            }
-        )
-        out = df.groupby(
-            ["c_mktsegment", "cents"], as_index=False
-        ).size().rename(columns={"size": "n"})
+    def hist_partials(orders: pd.DataFrame, cust: pd.DataFrame) -> pa.Table:
+        if orders.empty or cust.empty:
+            return pd.DataFrame()
+        m = orders.merge(cust, left_on="o_custkey", right_on="c_custkey")
+        out = m.groupby(["c_mktsegment", "cents"], as_index=False).size()
         return pa.table(
             {
                 "c_mktsegment": pa.array(out["c_mktsegment"], pa.string()),
-                "cents": pa.array(out["cents"].to_numpy(np.int64), pa.int64()),
-                "n": pa.array(out["n"].to_numpy(np.int64), pa.int64()),
+                "cents": pa.array(out["cents"].to_numpy(np.int64)),
+                "n": pa.array(out["size"].to_numpy(np.int64)),
             }
         )
 
@@ -2333,19 +1975,70 @@ def segment_order_quantiles(sf_dir: str) -> rd.Dataset:
     ords = _t(sf_dir, "orders", ["o_custkey", "o_totalprice"]).map_batches(
         order_rows, batch_format="pyarrow", zero_copy_batch=True
     )
-    cust = _t(sf_dir, "customer", ["c_custkey", "c_mktsegment"]).map_batches(
-        cust_rows, batch_format="pyarrow", zero_copy_batch=True
-    )
+    cust = _t(sf_dir, "customer", ["c_custkey", "c_mktsegment"])
     return (
-        ords.union(cust)
-        .groupby("bkt")
-        .map_groups(arrow_udf(hist_partials), batch_format="pandas")
+        co_group(hist_partials, orders=(ords, "o_custkey"), cust=(cust, "c_custkey"))
         .groupby("c_mktsegment")
         .map_groups(arrow_udf(quantiles), batch_format="pandas")
     )
 
 
 # -- nation-to-nation trade balance (TPC-H Q7 shape) ----------------------------
+
+
+def _nation_pair_revenue(
+    li: rd.Dataset, orders: rd.Dataset, cust: rd.Dataset, supp: rd.Dataset
+) -> rd.Dataset:
+    """(s_nationkey, c_nationkey, rev) partial rows: lineitem revenue
+    partials ``li`` (l_orderkey, l_suppkey, rev) walked to the
+    customer's and the supplier's nation — three narrow
+    :func:`co_group` exchanges, none carrying the fact table raw.
+    (1) orderkey: attach o_custkey from ``orders``; (2) custkey: attach
+    the customer nation from ``cust`` and collapse to (suppkey,
+    cust_nation) partials — from here rows are bounded by suppliers ×
+    nations; (3) suppkey: attach the supplier nation from ``supp``.
+    Every hop is an inner join, so a filter on any input prunes the
+    rest."""
+    import pandas as pd
+
+    def attach_cust(li: pd.DataFrame, orders: pd.DataFrame) -> pd.DataFrame:
+        if li.empty or orders.empty:
+            return pd.DataFrame()
+        m = li.merge(orders, left_on="l_orderkey", right_on="o_orderkey")
+        return m.groupby(["o_custkey", "l_suppkey"], as_index=False)["rev"].sum()
+
+    def attach_cnat(lc: pd.DataFrame, cust: pd.DataFrame) -> pd.DataFrame:
+        if lc.empty or cust.empty:
+            return pd.DataFrame()
+        m = lc.merge(cust, left_on="o_custkey", right_on="c_custkey")
+        return m.groupby(["l_suppkey", "c_nationkey"], as_index=False)["rev"].sum()
+
+    def attach_snat(ls: pd.DataFrame, supp: pd.DataFrame) -> pd.DataFrame:
+        if ls.empty or supp.empty:
+            return pd.DataFrame()
+        m = ls.merge(supp, left_on="l_suppkey", right_on="s_suppkey")
+        out = m.groupby(["s_nationkey", "c_nationkey"], as_index=False)["rev"].sum()
+        return out.astype(np.int64)
+
+    lc = co_group(attach_cust, li=(li, "l_orderkey"), orders=(orders, "o_orderkey"))
+    ls = co_group(attach_cnat, lc=(lc, "o_custkey"), cust=(cust, "c_custkey"))
+    return co_group(attach_snat, ls=(ls, "l_suppkey"), supp=(supp, "s_suppkey"))
+
+
+def _order_supp_rev(batch: pa.Table) -> pa.Table:
+    """Per-batch (l_orderkey, l_suppkey, rev) revenue partials."""
+    g = (
+        pa.table(
+            {
+                "l_orderkey": batch.column("l_orderkey"),
+                "l_suppkey": batch.column("l_suppkey"),
+                "rev": _rev_cc(batch),
+            }
+        )
+        .group_by(["l_orderkey", "l_suppkey"])
+        .aggregate([("rev", "sum")])
+    )
+    return g.rename_columns(["l_orderkey", "l_suppkey", "rev"])
 
 
 def nation_trade_balance(sf_dir: str) -> rd.Dataset:
@@ -2355,197 +2048,35 @@ def nation_trade_balance(sf_dir: str) -> rd.Dataset:
     (fact → orders → customer on one side, fact → supplier on the
     other).
 
-    Scale shape: three narrow co-shuffles, each a multiplexed union,
-    none carrying the fact table raw.  (1) per-batch (orderkey,
-    suppkey, rev) Arrow partials join orders rows on orderkey →
-    (custkey, suppkey, rev partials); (2) custkey exchange attaches the
-    customer's nationkey and collapses to (suppkey, cust_nation)
-    partials — from here rows are bounded by suppliers × 25; (3)
-    suppkey exchange attaches the supplier's nationkey; the 25-row
-    nation-name map composes in-bucket, and a constant-key combine
-    folds the ≤ buckets × 625 leftovers."""
+    Scale shape: per-batch (orderkey, suppkey, rev) Arrow partials take
+    the three exchanges of :func:`_nation_pair_revenue`; the 25-row
+    nation-name map composes in a final pair-keyed combine that folds
+    the ≤ buckets × 625 leftovers."""
     import pandas as pd
 
-    buckets = 64
     nation = _small_table_dict(sf_dir, "nation", "n_nationkey", "n_name")
-
-    def li_partials(batch: pa.Table) -> pa.Table:
-        price = pc.cast(
-            pc.round(pc.multiply(batch.column("l_extendedprice"), 100.0)),
-            pa.int64(),
-        )
-        disc = pc.cast(
-            pc.round(pc.multiply(batch.column("l_discount"), 100.0)), pa.int64()
-        )
-        rev = pc.multiply(price, pc.subtract(pa.scalar(100, pa.int64()), disc))
-        g = (
-            pa.table(
-                {
-                    "k": batch.column("l_orderkey"),
-                    "sk": batch.column("l_suppkey"),
-                    "rev": rev,
-                }
-            )
-            .group_by(["k", "sk"])
-            .aggregate([("rev", "sum")])
-        )
-        kk = g.column("k").to_numpy(zero_copy_only=False)
-        return pa.table(
-            {
-                "bkt": pa.array((kk % buckets).astype(np.int32)),
-                "k": pa.array(kk, pa.int64()),
-                "role": pa.array(np.zeros(len(kk), np.int8)),
-                "v1": pc.cast(g.column("sk"), pa.int64()),
-                "v2": g.column("rev_sum"),
-            }
-        )
-
-    def order_rows(batch: pa.Table) -> pa.Table:
-        kk = batch.column("o_orderkey").to_numpy(zero_copy_only=False)
-        return pa.table(
-            {
-                "bkt": pa.array((kk % buckets).astype(np.int32)),
-                "k": pa.array(kk, pa.int64()),
-                "role": pa.array(np.ones(len(kk), np.int8)),
-                "v1": pc.cast(batch.column("o_custkey"), pa.int64()),
-                "v2": pa.array(np.zeros(len(kk), np.int64)),
-            }
-        )
-
-    def attach_cust(g: pd.DataFrame) -> pd.DataFrame:
-        li = g[g["role"] == 0]
-        cust_of = g[g["role"] == 1].set_index("k")["v1"]
-        ck = cust_of.reindex(li["k"])
-        li = li[ck.notna().to_numpy()]
-        ck = ck.dropna().to_numpy(np.int64)
-        out = pd.DataFrame(
-            {
-                "ck": ck,
-                "sk": li["v1"].to_numpy(np.int64),
-                "rev": li["v2"].to_numpy(np.int64),
-            }
-        ).groupby(["ck", "sk"], as_index=False)["rev"].sum()
-        c = out["ck"].to_numpy(np.int64)
-        return pd.DataFrame(
-            {
-                "bkt2": (c % buckets).astype(np.int32),
-                "k": c,
-                "role": np.zeros(len(c), np.int8),
-                "v1": out["sk"].to_numpy(np.int64),
-                "v2": out["rev"].to_numpy(np.int64),
-            }
-        )
-
-    def cust_rows(batch: pa.Table) -> pa.Table:
-        ck = batch.column("c_custkey").to_numpy(zero_copy_only=False)
-        return pa.table(
-            {
-                "bkt2": pa.array((ck % buckets).astype(np.int32)),
-                "k": pa.array(ck, pa.int64()),
-                "role": pa.array(np.ones(len(ck), np.int8)),
-                "v1": pc.cast(batch.column("c_nationkey"), pa.int64()),
-                "v2": pa.array(np.zeros(len(ck), np.int64)),
-            }
-        )
-
-    def attach_cnat(g: pd.DataFrame) -> pd.DataFrame:
-        li = g[g["role"] == 0]
-        nat_of = g[g["role"] == 1].set_index("k")["v1"]
-        cn = nat_of.reindex(li["k"])
-        li = li[cn.notna().to_numpy()]
-        cn = cn.dropna().to_numpy(np.int64)
-        out = pd.DataFrame(
-            {
-                "sk": li["v1"].to_numpy(np.int64),
-                "cnat": cn,
-                "rev": li["v2"].to_numpy(np.int64),
-            }
-        ).groupby(["sk", "cnat"], as_index=False)["rev"].sum()
-        s = out["sk"].to_numpy(np.int64)
-        return pd.DataFrame(
-            {
-                "bkt3": (s % buckets).astype(np.int32),
-                "k": s,
-                "role": np.zeros(len(s), np.int8),
-                "v1": out["cnat"].to_numpy(np.int64),
-                "v2": out["rev"].to_numpy(np.int64),
-            }
-        )
-
-    def supp_rows(batch: pa.Table) -> pa.Table:
-        sk = batch.column("s_suppkey").to_numpy(zero_copy_only=False)
-        return pa.table(
-            {
-                "bkt3": pa.array((sk % buckets).astype(np.int32)),
-                "k": pa.array(sk, pa.int64()),
-                "role": pa.array(np.ones(len(sk), np.int8)),
-                "v1": pc.cast(batch.column("s_nationkey"), pa.int64()),
-                "v2": pa.array(np.zeros(len(sk), np.int64)),
-            }
-        )
-
-    def fold_pairs(g: pd.DataFrame) -> pa.Table:
-        li = g[g["role"] == 0]
-        nat_of = g[g["role"] == 1].set_index("k")["v1"]
-        sn = nat_of.reindex(li["k"])
-        li = li[sn.notna().to_numpy()]
-        sn = sn.dropna().to_numpy(np.int64)
-        out = pd.DataFrame(
-            {
-                "snat": sn,
-                "cnat": li["v1"].to_numpy(np.int64),
-                "rev": li["v2"].to_numpy(np.int64),
-            }
-        ).groupby(["snat", "cnat"], as_index=False)["rev"].sum()
-        return pa.table(
-            {
-                "supp_nation": pa.array(
-                    [nation.get(int(x), "UNKNOWN") for x in out["snat"]],
-                    pa.string(),
-                ),
-                "cust_nation": pa.array(
-                    [nation.get(int(x), "UNKNOWN") for x in out["cnat"]],
-                    pa.string(),
-                ),
-                "revenue_cc": pa.array(
-                    out["rev"].to_numpy(np.int64), pa.int64()
-                ),
-            }
-        )
 
     def combine(g: pd.DataFrame) -> pd.DataFrame:
         return pd.DataFrame(
             {
-                "supp_nation": [g["supp_nation"].iloc[0]],
-                "cust_nation": [g["cust_nation"].iloc[0]],
-                "revenue_cc": np.array([g["revenue_cc"].sum()], np.int64),
+                "supp_nation": [nation.get(int(g["s_nationkey"].iloc[0]), "UNKNOWN")],
+                "cust_nation": [nation.get(int(g["c_nationkey"].iloc[0]), "UNKNOWN")],
+                "revenue_cc": np.array([g["rev"].sum()], np.int64),
             }
         )
 
     li = _t(
         sf_dir, "lineitem",
         ["l_orderkey", "l_suppkey", "l_extendedprice", "l_discount"],
-    ).map_batches(li_partials, batch_format="pyarrow", zero_copy_batch=True)
-    ords = _t(sf_dir, "orders", ["o_orderkey", "o_custkey"]).map_batches(
-        order_rows, batch_format="pyarrow", zero_copy_batch=True
-    )
-    cust = _t(sf_dir, "customer", ["c_custkey", "c_nationkey"]).map_batches(
-        cust_rows, batch_format="pyarrow", zero_copy_batch=True
-    )
-    supp = _t(sf_dir, "supplier", ["s_suppkey", "s_nationkey"]).map_batches(
-        supp_rows, batch_format="pyarrow", zero_copy_batch=True
-    )
+    ).map_batches(_order_supp_rev, batch_format="pyarrow", zero_copy_batch=True)
     return (
-        li.union(ords)
-        .groupby("bkt")
-        .map_groups(arrow_udf(attach_cust), batch_format="pandas")
-        .union(cust)
-        .groupby("bkt2")
-        .map_groups(arrow_udf(attach_cnat), batch_format="pandas")
-        .union(supp)
-        .groupby("bkt3")
-        .map_groups(arrow_udf(fold_pairs), batch_format="pandas")
-        .groupby(["supp_nation", "cust_nation"])
+        _nation_pair_revenue(
+            li,
+            _t(sf_dir, "orders", ["o_orderkey", "o_custkey"]),
+            _t(sf_dir, "customer", ["c_custkey", "c_nationkey"]),
+            _t(sf_dir, "supplier", ["s_suppkey", "s_nationkey"]),
+        )
+        .groupby(["s_nationkey", "c_nationkey"])
         .map_groups(arrow_udf(combine), batch_format="pandas")
     )
 
@@ -2738,113 +2269,60 @@ def shipping_priority(
     priority report, ties broken by orderkey ascending.
 
     Scale shape: both date predicates prune at the batch level before
-    anything moves; two multiplexed co-shuffles (orderkey → attach
+    anything moves; two :func:`co_group` exchanges (orderkey → attach
     custkey+orderdate, custkey → segment semi-join) carry narrow
     integer partials; each custkey bucket keeps only its LOCAL top-k (a
     global winner always wins its own bucket) so the final constant-key
     combine sees ≤ buckets·k candidate rows."""
     import pandas as pd
 
-    buckets = 64
-    cut_us = _epoch_us(cutoff)
+    cut = pa.scalar(_epoch_us(cutoff), pa.int64())
 
     def li_partials(batch: pa.Table) -> pa.Table:
         ship = pc.cast(batch.column("l_shipdate"), pa.int64())
-        b = batch.filter(pc.greater(ship, pa.scalar(cut_us, pa.int64())))
-        price = pc.cast(
-            pc.round(pc.multiply(b.column("l_extendedprice"), 100.0)), pa.int64()
-        )
-        disc = pc.cast(
-            pc.round(pc.multiply(b.column("l_discount"), 100.0)), pa.int64()
-        )
-        rev = pc.multiply(price, pc.subtract(pa.scalar(100, pa.int64()), disc))
+        b = batch.filter(pc.greater(ship, cut))
         g = (
-            pa.table({"k": b.column("l_orderkey"), "rev": rev})
-            .group_by(["k"])
+            pa.table({"l_orderkey": b.column("l_orderkey"), "rev": _rev_cc(b)})
+            .group_by(["l_orderkey"])
             .aggregate([("rev", "sum")])
         )
-        kk = g.column("k").to_numpy(zero_copy_only=False)
-        return pa.table(
-            {
-                "bkt": pa.array((kk % buckets).astype(np.int32)),
-                "k": pa.array(kk, pa.int64()),
-                "role": pa.array(np.zeros(len(kk), np.int8)),
-                "v1": g.column("rev_sum"),
-                "v2": pa.array(np.zeros(len(kk), np.int64)),
-            }
-        )
+        return g.rename_columns(["l_orderkey", "rev"])
 
     def order_rows(batch: pa.Table) -> pa.Table:
         odate = pc.cast(batch.column("o_orderdate"), pa.int64())
-        b = batch.filter(pc.less(odate, pa.scalar(cut_us, pa.int64())))
-        kk = b.column("o_orderkey").to_numpy(zero_copy_only=False)
         return pa.table(
             {
-                "bkt": pa.array((kk % buckets).astype(np.int32)),
-                "k": pa.array(kk, pa.int64()),
-                "role": pa.array(np.ones(len(kk), np.int8)),
-                "v1": pc.cast(b.column("o_custkey"), pa.int64()),
-                "v2": pc.cast(b.column("o_orderdate"), pa.int64()),
+                "o_orderkey": batch.column("o_orderkey"),
+                "o_custkey": batch.column("o_custkey"),
+                "o_orderdate_us": odate,
             }
-        )
+        ).filter(pc.less(odate, cut))
 
-    def attach_order(g: pd.DataFrame) -> pd.DataFrame:
+    def segment_keys(batch: pa.Table) -> pa.Table:
+        b = batch.filter(pc.equal(batch.column("c_mktsegment"), segment))
+        return b.select(["c_custkey"])
+
+    def attach_order(li: pd.DataFrame, orders: pd.DataFrame) -> pd.DataFrame:
+        if li.empty or orders.empty:
+            return pd.DataFrame()
         # collapse the per-batch lineitem partials to ONE exact revenue
         # row per orderkey (all partials of an orderkey share the bucket)
-        li = (
-            g[g["role"] == 0]
-            .groupby("k", as_index=False)["v1"]
-            .sum()
-            .rename(columns={"v1": "rev"})
-        )
-        meta = g[g["role"] == 1].set_index("k")
-        ck = meta["v1"].reindex(li["k"])
-        keep = ck.notna().to_numpy()
-        li = li[keep]
-        ck = ck.dropna().to_numpy(np.int64)
-        odate = meta["v2"].reindex(li["k"]).to_numpy(np.int64)
-        c = ck
-        return pd.DataFrame(
-            {
-                "cbkt": (c % buckets).astype(np.int32),
-                "ck": c,
-                "crole": np.zeros(len(c), np.int8),
-                "okey": li["k"].to_numpy(np.int64),
-                "rev": li["rev"].to_numpy(np.int64),
-                "odate": odate,
-            }
-        )
+        rev = li.groupby("l_orderkey")["rev"].sum()
+        return orders.merge(rev, left_on="o_orderkey", right_index=True)
 
-    def cust_rows(batch: pa.Table) -> pa.Table:
-        b = batch.filter(pc.equal(batch.column("c_mktsegment"), segment))
-        ck = b.column("c_custkey").to_numpy(zero_copy_only=False)
-        n = len(ck)
-        return pa.table(
-            {
-                "cbkt": pa.array((ck % buckets).astype(np.int32)),
-                "ck": pa.array(ck, pa.int64()),
-                "crole": pa.array(np.ones(n, np.int8)),
-                "okey": pa.array(np.zeros(n, np.int64)),
-                "rev": pa.array(np.zeros(n, np.int64)),
-                "odate": pa.array(np.zeros(n, np.int64)),
-            }
-        )
-
-    def local_topk(g: pd.DataFrame) -> pa.Table:
-        li = g[g["crole"] == 0]
-        seg_set = g[g["crole"] == 1]["ck"]
-        li = li[li["ck"].isin(seg_set).to_numpy()]
-        t = li.sort_values(
-            ["rev", "okey"], ascending=[False, True], kind="stable"
+    def local_topk(orders: pd.DataFrame, cust: pd.DataFrame) -> pa.Table:
+        if orders.empty or cust.empty:
+            return pd.DataFrame()
+        o = orders[orders["o_custkey"].isin(cust["c_custkey"])]
+        t = o.sort_values(
+            ["rev", "o_orderkey"], ascending=[False, True], kind="stable"
         ).head(k)
         return pa.table(
             {
                 "fin": pa.array(np.zeros(len(t), np.int8)),
-                "o_orderkey": pa.array(t["okey"].to_numpy(np.int64), pa.int64()),
-                "revenue_cc": pa.array(t["rev"].to_numpy(np.int64), pa.int64()),
-                "o_orderdate_us": pa.array(
-                    t["odate"].to_numpy(np.int64), pa.int64()
-                ),
+                "o_orderkey": pa.array(t["o_orderkey"].to_numpy(np.int64)),
+                "revenue_cc": pa.array(t["rev"].to_numpy(np.int64)),
+                "o_orderdate_us": pa.array(t["o_orderdate_us"].to_numpy(np.int64)),
             }
         )
 
@@ -2864,15 +2342,11 @@ def shipping_priority(
         sf_dir, "orders", ["o_orderkey", "o_custkey", "o_orderdate"]
     ).map_batches(order_rows, batch_format="pyarrow", zero_copy_batch=True)
     cust = _t(sf_dir, "customer", ["c_custkey", "c_mktsegment"]).map_batches(
-        cust_rows, batch_format="pyarrow", zero_copy_batch=True
+        segment_keys, batch_format="pyarrow", zero_copy_batch=True
     )
+    rev = co_group(attach_order, li=(li, "l_orderkey"), orders=(ords, "o_orderkey"))
     return (
-        li.union(ords)
-        .groupby("bkt")
-        .map_groups(arrow_udf(attach_order), batch_format="pandas")
-        .union(cust)
-        .groupby("cbkt")
-        .map_groups(arrow_udf(local_topk), batch_format="pandas")
+        co_group(local_topk, orders=(rev, "o_custkey"), cust=(cust, "c_custkey"))
         .groupby("fin")
         .map_groups(arrow_udf(final_topk), batch_format="pandas")
     )
@@ -2896,16 +2370,15 @@ def local_supplier_volume(
     nation — TPC-H Q5's local-supplier-volume report over orders placed
     in [date_lo, date_hi).
 
-    Scale shape: nation⋈region collapses to a ≤25-entry broadcast dict
-    (the genuinely-small side); the region filter prunes customer and
-    supplier rows at the batch level BEFORE they enter any exchange.
-    Three narrow co-shuffles (orderkey → custkey, custkey → customer
-    nation, suppkey → same-nation gate) mirror
+    Scale shape: nation⋈region collapses to a ≤25-entry broadcast set
+    (the genuinely-small side); the date filter prunes orders and the
+    region filter prunes customer and supplier rows at the batch level
+    BEFORE they enter any exchange.  The three exchanges are
+    :func:`_nation_pair_revenue`'s, shared with
     :func:`nation_trade_balance`; after exchange 2 rows are bounded by
     suppliers × in-region nations, never fact-sized."""
     import pandas as pd
 
-    buckets = 64
     lo_us, hi_us = _epoch_us(date_lo), _epoch_us(date_hi)
     nation = _small_table_dict(sf_dir, "nation", "n_nationkey", "n_name")
     nat_region = _small_table_dict(sf_dir, "nation", "n_nationkey", "n_regionkey")
@@ -2914,191 +2387,52 @@ def local_supplier_volume(
             sf_dir, "region", "r_regionkey", "r_name"
         ).items() if rn == region
     }
-    in_region = {nk for nk, rk in nat_region.items() if rk in region_keys}
-
-    def li_partials(batch: pa.Table) -> pa.Table:
-        price = pc.cast(
-            pc.round(pc.multiply(batch.column("l_extendedprice"), 100.0)),
-            pa.int64(),
-        )
-        disc = pc.cast(
-            pc.round(pc.multiply(batch.column("l_discount"), 100.0)), pa.int64()
-        )
-        rev = pc.multiply(price, pc.subtract(pa.scalar(100, pa.int64()), disc))
-        g = (
-            pa.table(
-                {
-                    "k": batch.column("l_orderkey"),
-                    "sk": batch.column("l_suppkey"),
-                    "rev": rev,
-                }
-            )
-            .group_by(["k", "sk"])
-            .aggregate([("rev", "sum")])
-        )
-        kk = g.column("k").to_numpy(zero_copy_only=False)
-        return pa.table(
-            {
-                "bkt": pa.array((kk % buckets).astype(np.int32)),
-                "k": pa.array(kk, pa.int64()),
-                "role": pa.array(np.zeros(len(kk), np.int8)),
-                "v1": pc.cast(g.column("sk"), pa.int64()),
-                "v2": g.column("rev_sum"),
-            }
-        )
+    in_region = pa.array(
+        sorted(nk for nk, rk in nat_region.items() if rk in region_keys), pa.int32()
+    )
 
     def order_rows(batch: pa.Table) -> pa.Table:
         odate = pc.cast(batch.column("o_orderdate"), pa.int64())
-        b = batch.filter(
+        return batch.filter(
             pc.and_(
                 pc.greater_equal(odate, pa.scalar(lo_us, pa.int64())),
                 pc.less(odate, pa.scalar(hi_us, pa.int64())),
             )
-        )
-        kk = b.column("o_orderkey").to_numpy(zero_copy_only=False)
-        return pa.table(
-            {
-                "bkt": pa.array((kk % buckets).astype(np.int32)),
-                "k": pa.array(kk, pa.int64()),
-                "role": pa.array(np.ones(len(kk), np.int8)),
-                "v1": pc.cast(b.column("o_custkey"), pa.int64()),
-                "v2": pa.array(np.zeros(len(kk), np.int64)),
-            }
-        )
+        ).select(["o_orderkey", "o_custkey"])
 
-    def attach_cust(g: pd.DataFrame) -> pd.DataFrame:
-        li = g[g["role"] == 0]
-        cust_of = g[g["role"] == 1].set_index("k")["v1"]
-        ck = cust_of.reindex(li["k"])
-        li = li[ck.notna().to_numpy()]
-        ck = ck.dropna().to_numpy(np.int64)
-        out = pd.DataFrame(
-            {
-                "ck": ck,
-                "sk": li["v1"].to_numpy(np.int64),
-                "rev": li["v2"].to_numpy(np.int64),
-            }
-        ).groupby(["ck", "sk"], as_index=False)["rev"].sum()
-        c = out["ck"].to_numpy(np.int64)
-        return pd.DataFrame(
-            {
-                "bkt2": (c % buckets).astype(np.int32),
-                "k": c,
-                "role": np.zeros(len(c), np.int8),
-                "v1": out["sk"].to_numpy(np.int64),
-                "v2": out["rev"].to_numpy(np.int64),
-            }
-        )
+    def in_region_rows(nation_col: str):
+        def rows(batch: pa.Table) -> pa.Table:
+            return batch.filter(pc.is_in(batch.column(nation_col), in_region))
 
-    def cust_rows(batch: pa.Table) -> pa.Table:
-        nk = batch.column("c_nationkey").to_numpy(zero_copy_only=False)
-        mask = np.isin(nk, np.fromiter(in_region, np.int64, len(in_region)))
-        b = batch.filter(pa.array(mask))
-        ck = b.column("c_custkey").to_numpy(zero_copy_only=False)
-        return pa.table(
-            {
-                "bkt2": pa.array((ck % buckets).astype(np.int32)),
-                "k": pa.array(ck, pa.int64()),
-                "role": pa.array(np.ones(len(ck), np.int8)),
-                "v1": pc.cast(b.column("c_nationkey"), pa.int64()),
-                "v2": pa.array(np.zeros(len(ck), np.int64)),
-            }
-        )
-
-    def attach_cnat(g: pd.DataFrame) -> pd.DataFrame:
-        li = g[g["role"] == 0]
-        nat_of = g[g["role"] == 1].set_index("k")["v1"]
-        cn = nat_of.reindex(li["k"])
-        li = li[cn.notna().to_numpy()]
-        cn = cn.dropna().to_numpy(np.int64)
-        out = pd.DataFrame(
-            {
-                "sk": li["v1"].to_numpy(np.int64),
-                "cnat": cn,
-                "rev": li["v2"].to_numpy(np.int64),
-            }
-        ).groupby(["sk", "cnat"], as_index=False)["rev"].sum()
-        s = out["sk"].to_numpy(np.int64)
-        return pd.DataFrame(
-            {
-                "bkt3": (s % buckets).astype(np.int32),
-                "k": s,
-                "role": np.zeros(len(s), np.int8),
-                "v1": out["cnat"].to_numpy(np.int64),
-                "v2": out["rev"].to_numpy(np.int64),
-            }
-        )
-
-    def supp_rows(batch: pa.Table) -> pa.Table:
-        nk = batch.column("s_nationkey").to_numpy(zero_copy_only=False)
-        mask = np.isin(nk, np.fromiter(in_region, np.int64, len(in_region)))
-        b = batch.filter(pa.array(mask))
-        sk = b.column("s_suppkey").to_numpy(zero_copy_only=False)
-        return pa.table(
-            {
-                "bkt3": pa.array((sk % buckets).astype(np.int32)),
-                "k": pa.array(sk, pa.int64()),
-                "role": pa.array(np.ones(len(sk), np.int8)),
-                "v1": pc.cast(b.column("s_nationkey"), pa.int64()),
-                "v2": pa.array(np.zeros(len(sk), np.int64)),
-            }
-        )
-
-    def fold_local(g: pd.DataFrame) -> pa.Table:
-        li = g[g["role"] == 0]
-        nat_of = g[g["role"] == 1].set_index("k")["v1"]
-        sn = nat_of.reindex(li["k"])
-        keep = sn.notna().to_numpy()
-        li = li[keep]
-        sn = sn.dropna().to_numpy(np.int64)
-        same = sn == li["v1"].to_numpy(np.int64)
-        li = li[same]
-        sn = sn[same]
-        out = pd.DataFrame({"nk": sn, "rev": li["v2"].to_numpy(np.int64)}).groupby(
-            "nk", as_index=False
-        )["rev"].sum()
-        return pa.table(
-            {
-                "n_name": pa.array(
-                    [nation.get(int(x), "UNKNOWN") for x in out["nk"]],
-                    pa.string(),
-                ),
-                "revenue_cc": pa.array(out["rev"].to_numpy(np.int64), pa.int64()),
-            }
-        )
+        return rows
 
     def combine(g: pd.DataFrame) -> pd.DataFrame:
+        same = g[g["s_nationkey"] == g["c_nationkey"]]
+        if same.empty:
+            return pd.DataFrame()
         return pd.DataFrame(
             {
-                "n_name": [g["n_name"].iloc[0]],
-                "revenue_cc": np.array([g["revenue_cc"].sum()], np.int64),
+                "n_name": [nation.get(int(g["s_nationkey"].iloc[0]), "UNKNOWN")],
+                "revenue_cc": np.array([same["rev"].sum()], np.int64),
             }
         )
 
     li = _t(
         sf_dir, "lineitem",
         ["l_orderkey", "l_suppkey", "l_extendedprice", "l_discount"],
-    ).map_batches(li_partials, batch_format="pyarrow", zero_copy_batch=True)
+    ).map_batches(_order_supp_rev, batch_format="pyarrow", zero_copy_batch=True)
     ords = _t(
         sf_dir, "orders", ["o_orderkey", "o_custkey", "o_orderdate"]
     ).map_batches(order_rows, batch_format="pyarrow", zero_copy_batch=True)
     cust = _t(sf_dir, "customer", ["c_custkey", "c_nationkey"]).map_batches(
-        cust_rows, batch_format="pyarrow", zero_copy_batch=True
+        in_region_rows("c_nationkey"), batch_format="pyarrow", zero_copy_batch=True
     )
     supp = _t(sf_dir, "supplier", ["s_suppkey", "s_nationkey"]).map_batches(
-        supp_rows, batch_format="pyarrow", zero_copy_batch=True
+        in_region_rows("s_nationkey"), batch_format="pyarrow", zero_copy_batch=True
     )
     return (
-        li.union(ords)
-        .groupby("bkt")
-        .map_groups(arrow_udf(attach_cust), batch_format="pandas")
-        .union(cust)
-        .groupby("bkt2")
-        .map_groups(arrow_udf(attach_cnat), batch_format="pandas")
-        .union(supp)
-        .groupby("bkt3")
-        .map_groups(arrow_udf(fold_local), batch_format="pandas")
-        .groupby("n_name")
+        _nation_pair_revenue(li, ords, cust, supp)
+        .groupby("s_nationkey")
         .map_groups(arrow_udf(combine), batch_format="pandas")
     )
 
@@ -3187,14 +2521,13 @@ def top_supplier(sf_dir: str) -> rd.Dataset:
     Q15's top-supplier view join, keeping ALL ties (Q15 semantics).
 
     Scale shape: the date filter prunes at the batch level; per-batch
-    (suppkey, rev) Arrow partials take ONE suppkey co-shuffle with the
-    supplier name rows; each bucket computes its suppliers' exact
-    totals and forwards only its local maxima (the global max is some
-    bucket's max), so the constant-key combine sees ≤ buckets·ties
+    (suppkey, rev) Arrow partials take ONE suppkey :func:`co_group`
+    with the supplier name rows; each bucket computes its suppliers'
+    exact totals and forwards only its local maxima (the global max is
+    some bucket's max), so the constant-key combine sees ≤ buckets·ties
     rows."""
     import pandas as pd
 
-    buckets = 64
     lo_us, hi_us = _epoch_us(TOP_SUPPLIER_DATE_LO), _epoch_us(TOP_SUPPLIER_DATE_HI)
 
     def li_partials(batch: pa.Table) -> pa.Table:
@@ -3205,62 +2538,25 @@ def top_supplier(sf_dir: str) -> rd.Dataset:
                 pc.less(ship, pa.scalar(hi_us, pa.int64())),
             )
         )
-        price = pc.cast(
-            pc.round(pc.multiply(b.column("l_extendedprice"), 100.0)), pa.int64()
-        )
-        disc = pc.cast(
-            pc.round(pc.multiply(b.column("l_discount"), 100.0)), pa.int64()
-        )
-        rev = pc.multiply(price, pc.subtract(pa.scalar(100, pa.int64()), disc))
         g = (
-            pa.table({"sk": b.column("l_suppkey"), "rev": rev})
-            .group_by(["sk"])
+            pa.table({"l_suppkey": b.column("l_suppkey"), "rev": _rev_cc(b)})
+            .group_by(["l_suppkey"])
             .aggregate([("rev", "sum")])
         )
-        sk = g.column("sk").to_numpy(zero_copy_only=False)
-        return pa.table(
-            {
-                "bkt": pa.array((sk % buckets).astype(np.int32)),
-                "sk": pa.array(sk, pa.int64()),
-                "role": pa.array(np.zeros(len(sk), np.int8)),
-                "rev": g.column("rev_sum"),
-                "s_name": pa.array([""] * len(sk), pa.string()),
-            }
-        )
+        return g.rename_columns(["l_suppkey", "rev"])
 
-    def supp_rows(batch: pa.Table) -> pa.Table:
-        sk = batch.column("s_suppkey").to_numpy(zero_copy_only=False)
-        n = len(sk)
-        return pa.table(
-            {
-                "bkt": pa.array((sk % buckets).astype(np.int32)),
-                "sk": pa.array(sk, pa.int64()),
-                "role": pa.array(np.ones(n, np.int8)),
-                "rev": pa.array(np.zeros(n, np.int64)),
-                "s_name": batch.column("s_name"),
-            }
-        )
-
-    def local_max(g: pd.DataFrame) -> pa.Table:
-        li = g[g["role"] == 0]
-        tot = li.groupby("sk", as_index=False)["rev"].sum()
-        if len(tot) == 0:
-            return pa.table(
-                {
-                    "fin": pa.array([], pa.int8()),
-                    "s_suppkey": pa.array([], pa.int64()),
-                    "s_name": pa.array([], pa.string()),
-                    "revenue_cc": pa.array([], pa.int64()),
-                }
-            )
+    def local_max(li: pd.DataFrame, supp: pd.DataFrame) -> pa.Table:
+        if li.empty or supp.empty:
+            return pd.DataFrame()
+        tot = li.groupby("l_suppkey", as_index=False)["rev"].sum()
         best = tot[tot["rev"] == tot["rev"].max()]
-        names = g[g["role"] == 1].set_index("sk")["s_name"].reindex(best["sk"])
+        m = best.merge(supp, left_on="l_suppkey", right_on="s_suppkey")
         return pa.table(
             {
-                "fin": pa.array(np.zeros(len(best), np.int8)),
-                "s_suppkey": pa.array(best["sk"].to_numpy(np.int64), pa.int64()),
-                "s_name": pa.array([str(v) for v in names], pa.string()),
-                "revenue_cc": pa.array(best["rev"].to_numpy(np.int64), pa.int64()),
+                "fin": pa.array(np.zeros(len(m), np.int8)),
+                "s_suppkey": pa.array(m["s_suppkey"].to_numpy(np.int64)),
+                "s_name": pa.array(m["s_name"], pa.string()),
+                "revenue_cc": pa.array(m["rev"].to_numpy(np.int64)),
             }
         )
 
@@ -3272,13 +2568,9 @@ def top_supplier(sf_dir: str) -> rd.Dataset:
         sf_dir, "lineitem",
         ["l_suppkey", "l_shipdate", "l_extendedprice", "l_discount"],
     ).map_batches(li_partials, batch_format="pyarrow", zero_copy_batch=True)
-    supp = _t(sf_dir, "supplier", ["s_suppkey", "s_name"]).map_batches(
-        supp_rows, batch_format="pyarrow", zero_copy_batch=True
-    )
+    supp = _t(sf_dir, "supplier", ["s_suppkey", "s_name"])
     return (
-        li.union(supp)
-        .groupby("bkt")
-        .map_groups(arrow_udf(local_max), batch_format="pandas")
+        co_group(local_max, li=(li, "l_suppkey"), supp=(supp, "s_suppkey"))
         .groupby("fin")
         .map_groups(arrow_udf(global_max), batch_format="pandas")
     )
@@ -3297,80 +2589,53 @@ def small_qty_revenue(sf_dir: str, brand: str = SMALL_QTY_BRAND) -> rd.Dataset:
 
     Scale shape: quantities are small integers (1..50), so the
     fact-side partial is a per-(part, qty) HISTOGRAM — (n, sum_price)
-    per bin — and the partkey co-shuffle carries ≤ parts×50 bins, never
-    raw lineitems.  The brand filter prunes the part side at the batch
-    level; each bucket derives the part's exact (count, sum_qty) from
-    its own bins and applies the gate bin-wise."""
+    per bin — and the partkey :func:`co_group` carries ≤ parts×50
+    bins, never raw lineitems.  The brand filter prunes the part side
+    at the batch level; each bucket derives the part's exact (count,
+    sum_qty) from its own bins and applies the gate bin-wise."""
     import pandas as pd
 
-    buckets = 64
-
     def li_partials(batch: pa.Table) -> pa.Table:
-        qty = pc.cast(pc.round(batch.column("l_quantity")), pa.int64())
-        price = pc.cast(
-            pc.round(pc.multiply(batch.column("l_extendedprice"), 100.0)),
-            pa.int64(),
-        )
         g = (
             pa.table(
-                {"pk": batch.column("l_partkey"), "q": qty, "price": price}
+                {
+                    "l_partkey": batch.column("l_partkey"),
+                    "q": pc.cast(pc.round(batch.column("l_quantity")), pa.int64()),
+                    "price": _cents(batch.column("l_extendedprice")),
+                }
             )
-            .group_by(["pk", "q"])
+            .group_by(["l_partkey", "q"])
             .aggregate([("price", "sum"), ("price", "count")])
         )
-        pk = g.column("pk").to_numpy(zero_copy_only=False)
-        return pa.table(
-            {
-                "bkt": pa.array((pk % buckets).astype(np.int32)),
-                "pk": pa.array(pk, pa.int64()),
-                "role": pa.array(np.zeros(len(pk), np.int8)),
-                "q": g.column("q"),
-                "sum_price": g.column("price_sum"),
-                "n": pc.cast(g.column("price_count"), pa.int64()),
-            }
-        )
+        return g.rename_columns(["l_partkey", "q", "sum_price", "n"])
 
-    def part_rows(batch: pa.Table) -> pa.Table:
+    def brand_keys(batch: pa.Table) -> pa.Table:
         b = batch.filter(pc.equal(batch.column("p_brand"), brand))
-        pk = b.column("p_partkey").to_numpy(zero_copy_only=False)
-        n = len(pk)
-        return pa.table(
-            {
-                "bkt": pa.array((pk % buckets).astype(np.int32)),
-                "pk": pa.array(pk, pa.int64()),
-                "role": pa.array(np.ones(n, np.int8)),
-                "q": pa.array(np.zeros(n, np.int64)),
-                "sum_price": pa.array(np.zeros(n, np.int64)),
-                "n": pa.array(np.zeros(n, np.int64)),
-            }
-        )
+        return b.select(["p_partkey"])
 
-    def fold_gate(g: pd.DataFrame) -> pa.Table:
-        li = g[g["role"] == 0]
-        keep_pk = g[g["role"] == 1]["pk"]
-        li = li[li["pk"].isin(keep_pk).to_numpy()]
-        rev = np.int64(0)
-        items = np.int64(0)
-        if len(li):
-            bins = li.groupby(["pk", "q"], as_index=False)[
+    def fold_gate(li: pd.DataFrame, part: pd.DataFrame) -> pd.DataFrame:
+        rev = items = 0
+        if not (li.empty or part.empty):
+            li = li[li["l_partkey"].isin(part["p_partkey"])]
+            bins = li.groupby(["l_partkey", "q"], as_index=False)[
                 ["sum_price", "n"]
             ].sum()
-            per_pk = bins.groupby("pk")
+            per_pk = bins.groupby("l_partkey")
             cnt = per_pk["n"].transform("sum").to_numpy(np.int64)
             sumq = (
                 bins.assign(qn=bins["q"] * bins["n"])
-                .groupby("pk")["qn"]
+                .groupby("l_partkey")["qn"]
                 .transform("sum")
                 .to_numpy(np.int64)
             )
             gate = 5 * bins["q"].to_numpy(np.int64) * cnt < sumq
-            rev = np.int64(bins["sum_price"].to_numpy(np.int64)[gate].sum())
-            items = np.int64(bins["n"].to_numpy(np.int64)[gate].sum())
-        return pa.table(
+            rev = bins["sum_price"].to_numpy(np.int64)[gate].sum()
+            items = bins["n"].to_numpy(np.int64)[gate].sum()
+        return pd.DataFrame(
             {
-                "fin": pa.array([np.int8(0)]),
-                "revenue_cc": pa.array([rev], pa.int64()),
-                "n_items": pa.array([items], pa.int64()),
+                "fin": np.zeros(1, np.int8),
+                "revenue_cc": np.array([rev], np.int64),
+                "n_items": np.array([items], np.int64),
             }
         )
 
@@ -3386,12 +2651,10 @@ def small_qty_revenue(sf_dir: str, brand: str = SMALL_QTY_BRAND) -> rd.Dataset:
         sf_dir, "lineitem", ["l_partkey", "l_quantity", "l_extendedprice"]
     ).map_batches(li_partials, batch_format="pyarrow", zero_copy_batch=True)
     parts = _t(sf_dir, "part", ["p_partkey", "p_brand"]).map_batches(
-        part_rows, batch_format="pyarrow", zero_copy_batch=True
+        brand_keys, batch_format="pyarrow", zero_copy_batch=True
     )
     return (
-        li.union(parts)
-        .groupby("bkt")
-        .map_groups(arrow_udf(fold_gate), batch_format="pandas")
+        co_group(fold_gate, li=(li, "l_partkey"), part=(parts, "p_partkey"))
         .groupby("fin")
         .map_groups(arrow_udf(combine), batch_format="pandas")
     )
@@ -3414,12 +2677,11 @@ def disjunctive_revenue(sf_dir: str) -> rd.Dataset:
 
     Scale shape: same per-(part, qty) histogram partials as
     :func:`small_qty_revenue` (the qty pre-filter keeps only bins that
-    could satisfy SOME arm); the part side ships (brand, size) only for
+    could satisfy SOME arm); the part side ships (arm, size) only for
     parts under the largest size cap, and each bucket evaluates the
     disjunction bin-wise — the exchange never carries raw lineitems."""
     import pandas as pd
 
-    buckets = 64
     qty_lo = min(a[2] for a in DISJUNCT_ARMS)
     qty_hi = max(a[3] for a in DISJUNCT_ARMS)
     size_cap = max(a[1] for a in DISJUNCT_ARMS)
@@ -3427,34 +2689,18 @@ def disjunctive_revenue(sf_dir: str) -> rd.Dataset:
 
     def li_partials(batch: pa.Table) -> pa.Table:
         qty = pc.cast(pc.round(batch.column("l_quantity")), pa.int64())
-        price = pc.cast(
-            pc.round(pc.multiply(batch.column("l_extendedprice"), 100.0)),
-            pa.int64(),
-        )
-        disc = pc.cast(
-            pc.round(pc.multiply(batch.column("l_discount"), 100.0)), pa.int64()
-        )
-        rev = pc.multiply(price, pc.subtract(pa.scalar(100, pa.int64()), disc))
         t = pa.table(
-            {"pk": batch.column("l_partkey"), "q": qty, "rev": rev}
+            {"l_partkey": batch.column("l_partkey"), "q": qty, "rev": _rev_cc(batch)}
         ).filter(
             pc.and_(
                 pc.greater_equal(qty, pa.scalar(qty_lo, pa.int64())),
                 pc.less_equal(qty, pa.scalar(qty_hi, pa.int64())),
             )
         )
-        g = t.group_by(["pk", "q"]).aggregate([("rev", "sum"), ("rev", "count")])
-        pk = g.column("pk").to_numpy(zero_copy_only=False)
-        return pa.table(
-            {
-                "bkt": pa.array((pk % buckets).astype(np.int32)),
-                "pk": pa.array(pk, pa.int64()),
-                "role": pa.array(np.zeros(len(pk), np.int8)),
-                "q": g.column("q"),
-                "rev": g.column("rev_sum"),
-                "n": pc.cast(g.column("rev_count"), pa.int64()),
-            }
+        g = t.group_by(["l_partkey", "q"]).aggregate(
+            [("rev", "sum"), ("rev", "count")]
         )
+        return g.rename_columns(["l_partkey", "q", "rev", "n"])
 
     def part_rows(batch: pa.Table) -> pa.Table:
         size = pc.cast(batch.column("p_size"), pa.int64())
@@ -3462,54 +2708,27 @@ def disjunctive_revenue(sf_dir: str) -> rd.Dataset:
         bn = batch.column("p_brand").to_numpy(zero_copy_only=False)
         for b, i in brands.items():
             arm[bn == b] = i
-        t = pa.table(
-            {
-                "pk": batch.column("p_partkey"),
-                "size": size,
-                "arm": pa.array(arm),
-            }
-        ).filter(
-            pc.and_(
-                pc.greater_equal(pa.array(arm), pa.scalar(0, pa.int64())),
-                pc.less_equal(size, pa.scalar(size_cap, pa.int64())),
-            )
-        )
-        pk = t.column("pk").to_numpy(zero_copy_only=False)
-        # pack (arm, size) into the q / rev slots of the multiplexed row
         return pa.table(
-            {
-                "bkt": pa.array((pk % buckets).astype(np.int32)),
-                "pk": pa.array(pk, pa.int64()),
-                "role": pa.array(np.ones(len(pk), np.int8)),
-                "q": t.column("arm"),
-                "rev": t.column("size"),
-                "n": pa.array(np.zeros(len(pk), np.int64)),
-            }
+            {"p_partkey": batch.column("p_partkey"), "size": size, "arm": arm}
+        ).filter(
+            pa.array((arm >= 0) & (size.to_numpy(zero_copy_only=False) <= size_cap))
         )
 
-    def fold_arms(g: pd.DataFrame) -> pa.Table:
-        li = g[g["role"] == 0]
-        meta = g[g["role"] == 1].set_index("pk")
-        arm = meta["q"].reindex(li["pk"])
-        keep = arm.notna().to_numpy()
-        li = li[keep]
-        arm = arm.dropna().to_numpy(np.int64)
-        size = meta["rev"].reindex(li["pk"]).to_numpy(np.int64)
-        q = li["q"].to_numpy(np.int64)
-        ok = np.zeros(len(li), bool)
-        for b, i in brands.items():
-            _, cap, lo, hi = DISJUNCT_ARMS[i]
-            ok |= (arm == i) & (size <= cap) & (q >= lo) & (q <= hi)
-        return pa.table(
+    def fold_arms(li: pd.DataFrame, part: pd.DataFrame) -> pd.DataFrame:
+        rev = items = 0
+        if not (li.empty or part.empty):
+            m = li.merge(part, left_on="l_partkey", right_on="p_partkey")
+            arm, size, q = (m[c].to_numpy(np.int64) for c in ("arm", "size", "q"))
+            ok = np.zeros(len(m), bool)
+            for i, (_, cap, lo, hi) in enumerate(DISJUNCT_ARMS):
+                ok |= (arm == i) & (size <= cap) & (q >= lo) & (q <= hi)
+            rev = m["rev"].to_numpy(np.int64)[ok].sum()
+            items = m["n"].to_numpy(np.int64)[ok].sum()
+        return pd.DataFrame(
             {
-                "fin": pa.array([np.int8(0)]),
-                "revenue_cc": pa.array(
-                    [np.int64(li["rev"].to_numpy(np.int64)[ok].sum())],
-                    pa.int64(),
-                ),
-                "n_items": pa.array(
-                    [np.int64(li["n"].to_numpy(np.int64)[ok].sum())], pa.int64()
-                ),
+                "fin": np.zeros(1, np.int8),
+                "revenue_cc": np.array([rev], np.int64),
+                "n_items": np.array([items], np.int64),
             }
         )
 
@@ -3529,9 +2748,7 @@ def disjunctive_revenue(sf_dir: str) -> rd.Dataset:
         part_rows, batch_format="pyarrow", zero_copy_batch=True
     )
     return (
-        li.union(parts)
-        .groupby("bkt")
-        .map_groups(arrow_udf(fold_arms), batch_format="pandas")
+        co_group(fold_arms, li=(li, "l_partkey"), part=(parts, "p_partkey"))
         .groupby("fin")
         .map_groups(arrow_udf(combine), batch_format="pandas")
     )
@@ -3550,15 +2767,15 @@ def market_share(sf_dir: str) -> rd.Dataset:
     ``MARKET_REGION`` customers' market for ``MARKET_PART_TYPE`` parts
     — TPC-H Q8, share as floor(nation/total·1e6) exact integer micros.
 
-    Scale shape: four narrow co-shuffles, each pruning before it moves:
-    partkey (type semi-join) → orderkey (attach order year + custkey)
-    → custkey (region semi-join, collapse to per-(suppkey, year)) →
-    suppkey (attach supplier nation).  After exchange 3 rows are
-    bounded by suppliers × years; the final per-year combine and the
-    share division run on a handful of rows."""
+    Scale shape: four narrow :func:`co_group` exchanges, each pruning
+    before it moves: partkey (type semi-join) → orderkey (attach order
+    year + custkey) → custkey (region semi-join, collapse to
+    per-(suppkey, year)) → suppkey (attach supplier nation).  After
+    exchange 3 rows are bounded by suppliers × years; the final
+    per-year combine and the share division run on a handful of
+    rows."""
     import pandas as pd
 
-    buckets = 64
     nation = _small_table_dict(sf_dir, "nation", "n_nationkey", "n_name")
     nat_region = _small_table_dict(sf_dir, "nation", "n_nationkey", "n_regionkey")
     region_keys = {
@@ -3566,189 +2783,60 @@ def market_share(sf_dir: str) -> rd.Dataset:
             sf_dir, "region", "r_regionkey", "r_name"
         ).items() if rn == MARKET_REGION
     }
-    in_region = {nk for nk, rk in nat_region.items() if rk in region_keys}
+    in_region = pa.array(
+        sorted(nk for nk, rk in nat_region.items() if rk in region_keys), pa.int32()
+    )
+    market_nk = [nk for nk, name in nation.items() if name == MARKET_NATION]
 
-    def li_rows(batch: pa.Table) -> pa.Table:
-        price = pc.cast(
-            pc.round(pc.multiply(batch.column("l_extendedprice"), 100.0)),
-            pa.int64(),
-        )
-        disc = pc.cast(
-            pc.round(pc.multiply(batch.column("l_discount"), 100.0)), pa.int64()
-        )
-        rev = pc.multiply(price, pc.subtract(pa.scalar(100, pa.int64()), disc))
+    def li_partials(batch: pa.Table) -> pa.Table:
+        keys = ["l_partkey", "l_orderkey", "l_suppkey"]
         g = (
-            pa.table(
-                {
-                    "pk": batch.column("l_partkey"),
-                    "ok": batch.column("l_orderkey"),
-                    "sk": batch.column("l_suppkey"),
-                    "rev": rev,
-                }
-            )
-            .group_by(["pk", "ok", "sk"])
+            pa.table({**{c: batch.column(c) for c in keys}, "rev": _rev_cc(batch)})
+            .group_by(keys)
             .aggregate([("rev", "sum")])
         )
-        pk = g.column("pk").to_numpy(zero_copy_only=False)
-        return pa.table(
-            {
-                "bkt": pa.array((pk % buckets).astype(np.int32)),
-                "k": pa.array(pk, pa.int64()),
-                "role": pa.array(np.zeros(len(pk), np.int8)),
-                "v1": pc.cast(g.column("ok"), pa.int64()),
-                "v2": pc.cast(g.column("sk"), pa.int64()),
-                "v3": g.column("rev_sum"),
-            }
-        )
+        return g.rename_columns([*keys, "rev"])
 
-    def part_rows(batch: pa.Table) -> pa.Table:
+    def type_keys(batch: pa.Table) -> pa.Table:
         b = batch.filter(pc.equal(batch.column("p_type"), MARKET_PART_TYPE))
-        pk = b.column("p_partkey").to_numpy(zero_copy_only=False)
-        n = len(pk)
-        z = pa.array(np.zeros(n, np.int64))
-        return pa.table(
-            {
-                "bkt": pa.array((pk % buckets).astype(np.int32)),
-                "k": pa.array(pk, pa.int64()),
-                "role": pa.array(np.ones(n, np.int8)),
-                "v1": z,
-                "v2": z,
-                "v3": z,
-            }
-        )
+        return b.select(["p_partkey"])
 
-    def semi_part(g: pd.DataFrame) -> pd.DataFrame:
-        li = g[g["role"] == 0]
-        keep = g[g["role"] == 1]["k"]
-        li = li[li["k"].isin(keep).to_numpy()]
-        ok = li["v1"].to_numpy(np.int64)
+    def region_custkeys(batch: pa.Table) -> pa.Table:
+        b = batch.filter(pc.is_in(batch.column("c_nationkey"), in_region))
+        return b.select(["c_custkey"])
+
+    def semi_part(li: pd.DataFrame, part: pd.DataFrame) -> pd.DataFrame:
+        if li.empty or part.empty:
+            return pd.DataFrame()
+        li = li[li["l_partkey"].isin(part["p_partkey"])]
+        return li[["l_orderkey", "l_suppkey", "rev"]]
+
+    def attach_order(li: pd.DataFrame, orders: pd.DataFrame) -> pd.DataFrame:
+        if li.empty or orders.empty:
+            return pd.DataFrame()
+        m = li.merge(orders, left_on="l_orderkey", right_on="o_orderkey")
         return pd.DataFrame(
             {
-                "bkt2": (ok % buckets).astype(np.int32),
-                "k": ok,
-                "role": np.zeros(len(li), np.int8),
-                "v1": li["v2"].to_numpy(np.int64),  # suppkey
-                "v2": li["v3"].to_numpy(np.int64),  # rev
-                "v3": np.zeros(len(li), np.int64),
+                "o_custkey": m["o_custkey"],
+                "l_suppkey": m["l_suppkey"],
+                "o_year": m["o_orderdate"].dt.year.astype(np.int64),
+                "rev": m["rev"],
             }
         )
 
-    def order_rows(batch: pa.Table) -> pa.Table:
-        kk = batch.column("o_orderkey").to_numpy(zero_copy_only=False)
-        return pa.table(
-            {
-                "bkt2": pa.array((kk % buckets).astype(np.int32)),
-                "k": pa.array(kk, pa.int64()),
-                "role": pa.array(np.ones(len(kk), np.int8)),
-                "v1": pc.cast(batch.column("o_custkey"), pa.int64()),
-                "v2": pc.cast(batch.column("o_orderdate"), pa.int64()),
-                "v3": pa.array(np.zeros(len(kk), np.int64)),
-            }
-        )
+    def semi_region(lo: pd.DataFrame, cust: pd.DataFrame) -> pd.DataFrame:
+        if lo.empty or cust.empty:
+            return pd.DataFrame()
+        lo = lo[lo["o_custkey"].isin(cust["c_custkey"])]
+        return lo.groupby(["l_suppkey", "o_year"], as_index=False)["rev"].sum()
 
-    def attach_order(g: pd.DataFrame) -> pd.DataFrame:
-        li = g[g["role"] == 0]
-        meta = g[g["role"] == 1].set_index("k")
-        ck = meta["v1"].reindex(li["k"])
-        keep = ck.notna().to_numpy()
-        li = li[keep]
-        ck = ck.dropna().to_numpy(np.int64)
-        odate = meta["v2"].reindex(li["k"]).to_numpy(np.int64)
-        year = (
-            odate.astype("datetime64[us]").astype("datetime64[Y]").astype(np.int64)
-            + 1970
-        )
-        return pd.DataFrame(
-            {
-                "bkt3": (ck % buckets).astype(np.int32),
-                "k": ck,
-                "role": np.zeros(len(li), np.int8),
-                "v1": li["v1"].to_numpy(np.int64),  # suppkey
-                "v2": year,
-                "v3": li["v2"].to_numpy(np.int64),  # rev
-            }
-        )
-
-    def cust_rows(batch: pa.Table) -> pa.Table:
-        nk = batch.column("c_nationkey").to_numpy(zero_copy_only=False)
-        mask = np.isin(nk, np.fromiter(in_region, np.int64, len(in_region)))
-        b = batch.filter(pa.array(mask))
-        ck = b.column("c_custkey").to_numpy(zero_copy_only=False)
-        n = len(ck)
-        z = pa.array(np.zeros(n, np.int64))
-        return pa.table(
-            {
-                "bkt3": pa.array((ck % buckets).astype(np.int32)),
-                "k": pa.array(ck, pa.int64()),
-                "role": pa.array(np.ones(n, np.int8)),
-                "v1": z,
-                "v2": z,
-                "v3": z,
-            }
-        )
-
-    def semi_region(g: pd.DataFrame) -> pd.DataFrame:
-        li = g[g["role"] == 0]
-        keep = g[g["role"] == 1]["k"]
-        li = li[li["k"].isin(keep).to_numpy()]
-        out = (
-            pd.DataFrame(
-                {
-                    "sk": li["v1"].to_numpy(np.int64),
-                    "year": li["v2"].to_numpy(np.int64),
-                    "rev": li["v3"].to_numpy(np.int64),
-                }
-            )
-            .groupby(["sk", "year"], as_index=False)["rev"]
-            .sum()
-        )
-        s = out["sk"].to_numpy(np.int64)
-        return pd.DataFrame(
-            {
-                "bkt4": (s % buckets).astype(np.int32),
-                "k": s,
-                "role": np.zeros(len(s), np.int8),
-                "v1": out["year"].to_numpy(np.int64),
-                "v2": out["rev"].to_numpy(np.int64),
-            }
-        )
-
-    def supp_rows(batch: pa.Table) -> pa.Table:
-        sk = batch.column("s_suppkey").to_numpy(zero_copy_only=False)
-        n = len(sk)
-        return pa.table(
-            {
-                "bkt4": pa.array((sk % buckets).astype(np.int32)),
-                "k": pa.array(sk, pa.int64()),
-                "role": pa.array(np.ones(n, np.int8)),
-                "v1": pc.cast(batch.column("s_nationkey"), pa.int64()),
-                "v2": pa.array(np.zeros(n, np.int64)),
-            }
-        )
-
-    def fold_share(g: pd.DataFrame) -> pa.Table:
-        li = g[g["role"] == 0]
-        nat_of = g[g["role"] == 1].set_index("k")["v1"]
-        sn = nat_of.reindex(li["k"])
-        keep = sn.notna().to_numpy()
-        li = li[keep]
-        sn = sn.dropna().to_numpy(np.int64)
-        names = np.array([nation.get(int(x), "UNKNOWN") for x in sn])
-        rev = li["v2"].to_numpy(np.int64)
-        df = pd.DataFrame(
-            {
-                "year": li["v1"].to_numpy(np.int64),
-                "total": rev,
-                "nat": np.where(names == MARKET_NATION, rev, np.int64(0)),
-            }
-        ).groupby("year", as_index=False)[["total", "nat"]].sum()
-        return pa.table(
-            {
-                "o_year": pa.array(df["year"].to_numpy(np.int64), pa.int64()),
-                "total": pa.array(df["total"].to_numpy(np.int64), pa.int64()),
-                "nat": pa.array(df["nat"].to_numpy(np.int64), pa.int64()),
-            }
-        )
+    def fold_share(ly: pd.DataFrame, supp: pd.DataFrame) -> pd.DataFrame:
+        if ly.empty or supp.empty:
+            return pd.DataFrame()
+        m = ly.merge(supp, left_on="l_suppkey", right_on="s_suppkey")
+        nat = m["rev"].where(m["s_nationkey"].isin(market_nk), 0)
+        df = pd.DataFrame({"o_year": m["o_year"], "total": m["rev"], "nat": nat})
+        return df.groupby("o_year", as_index=False).sum().astype(np.int64)
 
     def combine(g: pd.DataFrame) -> pd.DataFrame:
         total = np.int64(g["total"].sum())
@@ -3768,32 +2856,20 @@ def market_share(sf_dir: str) -> rd.Dataset:
     li = _t(
         sf_dir, "lineitem",
         ["l_partkey", "l_orderkey", "l_suppkey", "l_extendedprice", "l_discount"],
-    ).map_batches(li_rows, batch_format="pyarrow", zero_copy_batch=True)
+    ).map_batches(li_partials, batch_format="pyarrow", zero_copy_batch=True)
     parts = _t(sf_dir, "part", ["p_partkey", "p_type"]).map_batches(
-        part_rows, batch_format="pyarrow", zero_copy_batch=True
+        type_keys, batch_format="pyarrow", zero_copy_batch=True
     )
-    ords = _t(
-        sf_dir, "orders", ["o_orderkey", "o_custkey", "o_orderdate"]
-    ).map_batches(order_rows, batch_format="pyarrow", zero_copy_batch=True)
+    ords = _t(sf_dir, "orders", ["o_orderkey", "o_custkey", "o_orderdate"])
     cust = _t(sf_dir, "customer", ["c_custkey", "c_nationkey"]).map_batches(
-        cust_rows, batch_format="pyarrow", zero_copy_batch=True
+        region_custkeys, batch_format="pyarrow", zero_copy_batch=True
     )
-    supp = _t(sf_dir, "supplier", ["s_suppkey", "s_nationkey"]).map_batches(
-        supp_rows, batch_format="pyarrow", zero_copy_batch=True
-    )
+    supp = _t(sf_dir, "supplier", ["s_suppkey", "s_nationkey"])
+    li = co_group(semi_part, li=(li, "l_partkey"), part=(parts, "p_partkey"))
+    li = co_group(attach_order, li=(li, "l_orderkey"), orders=(ords, "o_orderkey"))
+    li = co_group(semi_region, lo=(li, "o_custkey"), cust=(cust, "c_custkey"))
     return (
-        li.union(parts)
-        .groupby("bkt")
-        .map_groups(arrow_udf(semi_part), batch_format="pandas")
-        .union(ords)
-        .groupby("bkt2")
-        .map_groups(arrow_udf(attach_order), batch_format="pandas")
-        .union(cust)
-        .groupby("bkt3")
-        .map_groups(arrow_udf(semi_region), batch_format="pandas")
-        .union(supp)
-        .groupby("bkt4")
-        .map_groups(arrow_udf(fold_share), batch_format="pandas")
+        co_group(fold_share, ly=(li, "l_suppkey"), supp=(supp, "s_suppkey"))
         .groupby("o_year")
         .map_groups(arrow_udf(combine), batch_format="pandas")
     )
@@ -3950,8 +3026,8 @@ def ship_latency_quantiles(sf_dir: str) -> rd.Dataset:
     order priority — the fulfillment-SLA report (does URGENT actually
     ship faster?).
 
-    Scale shape: one orderkey co-shuffle attaches (orderdate, priority)
-    to per-batch lineitem rows, then each bucket emits (priority,
+    Scale shape: one orderkey :func:`co_group` attaches (orderdate,
+    priority) to lineitem rows, then each bucket emits (priority,
     delay_days, n) HISTOGRAM partials — days bound the domain, so the
     final per-priority quantile reads cumulative counts over ≤ a few
     thousand bins, like event_quantiles."""
@@ -3959,55 +3035,27 @@ def ship_latency_quantiles(sf_dir: str) -> rd.Dataset:
 
     import pandas as pd
 
-    buckets = 64
     day_us = 86_400_000_000
 
-    def li_rows(batch: pa.Table) -> pa.Table:
-        kk = batch.column("l_orderkey").to_numpy(zero_copy_only=False)
-        return pa.table(
-            {
-                "bkt": pa.array((kk % buckets).astype(np.int32)),
-                "k": pa.array(kk, pa.int64()),
-                "role": pa.array(np.zeros(len(kk), np.int8)),
-                "v1": pc.cast(batch.column("l_shipdate"), pa.int64()),
-                "pri": pa.array([""] * len(kk), pa.string()),
-            }
-        )
-
-    def order_rows(batch: pa.Table) -> pa.Table:
-        kk = batch.column("o_orderkey").to_numpy(zero_copy_only=False)
-        return pa.table(
-            {
-                "bkt": pa.array((kk % buckets).astype(np.int32)),
-                "k": pa.array(kk, pa.int64()),
-                "role": pa.array(np.ones(len(kk), np.int8)),
-                "v1": pc.cast(batch.column("o_orderdate"), pa.int64()),
-                "pri": batch.column("o_orderpriority"),
-            }
-        )
-
-    def delay_hist(g: pd.DataFrame) -> pd.DataFrame:
-        li = g[g["role"] == 0]
-        meta = g[g["role"] == 1].set_index("k")
-        odate = meta["v1"].reindex(li["k"])
-        keep = odate.notna().to_numpy()
-        li = li[keep]
-        odate = odate.dropna().to_numpy(np.int64)
-        pri = meta["pri"].reindex(li["k"]).to_numpy()
+    def delay_hist(li: pd.DataFrame, orders: pd.DataFrame) -> pd.DataFrame:
+        if li.empty or orders.empty:
+            return pd.DataFrame()
+        m = li.merge(orders, left_on="l_orderkey", right_on="o_orderkey")
         # day-number difference, NOT floor((ship-order)/day): ship can
         # precede order in this data, and DuckDB's // truncates where
         # numpy floors — per-side day numbers are non-negative, so
         # truncation and floor agree exactly on both sides
-        days = li["v1"].to_numpy(np.int64) // day_us - odate // day_us
+        days = (
+            m["l_shipdate"].to_numpy("datetime64[us]").astype(np.int64) // day_us
+            - m["o_orderdate"].to_numpy("datetime64[us]").astype(np.int64) // day_us
+        )
         out = (
-            pd.DataFrame({"o_orderpriority": pri, "days": days})
+            pd.DataFrame({"o_orderpriority": m["o_orderpriority"], "days": days})
             .groupby(["o_orderpriority", "days"], as_index=False)
             .size()
             .rename(columns={"size": "n"})
         )
-        out["days"] = out["days"].astype(np.int64)
-        out["n"] = out["n"].astype(np.int64)
-        return out
+        return out.astype({"days": np.int64, "n": np.int64})
 
     def quantiles(g: pd.DataFrame) -> pd.DataFrame:
         t = g.groupby("days", as_index=False)["n"].sum().sort_values("days")
@@ -4028,16 +3076,10 @@ def ship_latency_quantiles(sf_dir: str) -> rd.Dataset:
             }
         )
 
-    li = _t(sf_dir, "lineitem", ["l_orderkey", "l_shipdate"]).map_batches(
-        li_rows, batch_format="pyarrow", zero_copy_batch=True
-    )
-    ords = _t(
-        sf_dir, "orders", ["o_orderkey", "o_orderdate", "o_orderpriority"]
-    ).map_batches(order_rows, batch_format="pyarrow", zero_copy_batch=True)
+    li = _t(sf_dir, "lineitem", ["l_orderkey", "l_shipdate"])
+    ords = _t(sf_dir, "orders", ["o_orderkey", "o_orderdate", "o_orderpriority"])
     return (
-        li.union(ords)
-        .groupby("bkt")
-        .map_groups(arrow_udf(delay_hist), batch_format="pandas")
+        co_group(delay_hist, li=(li, "l_orderkey"), orders=(ords, "o_orderkey"))
         .groupby("o_orderpriority")
         .map_groups(arrow_udf(quantiles), batch_format="pandas")
     )
@@ -4107,76 +3149,26 @@ def supplier_concentration(sf_dir: str) -> rd.Dataset:
     (integer-micros share) — the supply-chain concentration-risk
     screen.
 
-    Scale shape: per-batch (suppkey, rev) Arrow partials co-shuffle
-    once with the supplier table on suppkey buckets; supplier totals
-    are exact in-bucket, so each bucket forwards ONE (nation, sum,
-    max, count) partial per nation and the 25-way combine folds
+    Scale shape: per-batch (suppkey, rev) Arrow partials
+    :func:`co_group` once with the supplier table on suppkey; supplier
+    totals are exact in-bucket, so each bucket forwards ONE (nation,
+    sum, max, count) partial per nation and the 25-way combine folds
     ≤ buckets rows per nation."""
     import pandas as pd
 
-    buckets = 64
     nation = _small_table_dict(sf_dir, "nation", "n_nationkey", "n_name")
 
-    def li_partials(batch: pa.Table) -> pa.Table:
-        price = pc.cast(
-            pc.round(pc.multiply(batch.column("l_extendedprice"), 100.0)),
-            pa.int64(),
+    def per_nation(li: pd.DataFrame, supp: pd.DataFrame) -> pd.DataFrame:
+        if li.empty or supp.empty:
+            return pd.DataFrame()
+        tot = li.groupby("l_suppkey", as_index=False)["rev_cc"].sum()
+        m = tot.merge(supp, left_on="l_suppkey", right_on="s_suppkey")
+        out = m.groupby("s_nationkey", as_index=False).agg(
+            n_suppliers=("rev_cc", "size"),
+            total_cc=("rev_cc", "sum"),
+            top_cc=("rev_cc", "max"),
         )
-        disc = pc.cast(
-            pc.round(pc.multiply(batch.column("l_discount"), 100.0)), pa.int64()
-        )
-        rev = pc.multiply(price, pc.subtract(pa.scalar(100, pa.int64()), disc))
-        g = (
-            pa.table({"sk": batch.column("l_suppkey"), "rev": rev})
-            .group_by(["sk"])
-            .aggregate([("rev", "sum")])
-        )
-        sk = g.column("sk").to_numpy(zero_copy_only=False)
-        return pa.table(
-            {
-                "bkt": pa.array((sk % buckets).astype(np.int32)),
-                "sk": pa.array(sk, pa.int64()),
-                "role": pa.array(np.zeros(len(sk), np.int8)),
-                "v": g.column("rev_sum"),
-            }
-        )
-
-    def supp_rows(batch: pa.Table) -> pa.Table:
-        sk = batch.column("s_suppkey").to_numpy(zero_copy_only=False)
-        return pa.table(
-            {
-                "bkt": pa.array((sk % buckets).astype(np.int32)),
-                "sk": pa.array(sk, pa.int64()),
-                "role": pa.array(np.ones(len(sk), np.int8)),
-                "v": pc.cast(batch.column("s_nationkey"), pa.int64()),
-            }
-        )
-
-    def per_nation(g: pd.DataFrame) -> pd.DataFrame:
-        li = g[g["role"] == 0]
-        tot = li.groupby("sk", as_index=False)["v"].sum()
-        nat_of = g[g["role"] == 1].set_index("sk")["v"]
-        nk = nat_of.reindex(tot["sk"])
-        keep = nk.notna().to_numpy()
-        tot = tot[keep]
-        nk = nk.dropna().to_numpy(np.int64)
-        out = (
-            pd.DataFrame({"nk": nk, "rev": tot["v"].to_numpy(np.int64)})
-            .groupby("nk", as_index=False)
-            .agg(
-                n_suppliers=("rev", "size"),
-                total_cc=("rev", "sum"),
-                top_cc=("rev", "max"),
-            )
-        )
-        return out.astype(
-            {
-                "nk": np.int64,
-                "n_suppliers": np.int64,
-                "total_cc": np.int64,
-                "top_cc": np.int64,
-            }
-        )
+        return out.astype(np.int64)
 
     def combine(g: pd.DataFrame) -> pd.DataFrame:
         total = np.int64(g["total_cc"].sum())
@@ -4186,7 +3178,7 @@ def supplier_concentration(sf_dir: str) -> rd.Dataset:
         )
         return pd.DataFrame(
             {
-                "n_name": [nation.get(int(g["nk"].iloc[0]), "UNKNOWN")],
+                "n_name": [nation.get(int(g["s_nationkey"].iloc[0]), "UNKNOWN")],
                 "n_suppliers": np.array([g["n_suppliers"].sum()], np.int64),
                 "total_cc": [total],
                 "top_cc": [top],
@@ -4194,17 +3186,11 @@ def supplier_concentration(sf_dir: str) -> rd.Dataset:
             }
         )
 
-    li = _t(
-        sf_dir, "lineitem", ["l_suppkey", "l_extendedprice", "l_discount"]
-    ).map_batches(li_partials, batch_format="pyarrow", zero_copy_batch=True)
-    supp = _t(sf_dir, "supplier", ["s_suppkey", "s_nationkey"]).map_batches(
-        supp_rows, batch_format="pyarrow", zero_copy_batch=True
-    )
+    li = _lineitem_revenue_partials(sf_dir, "l_suppkey")
+    supp = _t(sf_dir, "supplier", ["s_suppkey", "s_nationkey"])
     return (
-        li.union(supp)
-        .groupby("bkt")
-        .map_groups(arrow_udf(per_nation), batch_format="pandas")
-        .groupby("nk")
+        co_group(per_nation, li=(li, "l_suppkey"), supp=(supp, "s_suppkey"))
+        .groupby("s_nationkey")
         .map_groups(arrow_udf(combine), batch_format="pandas")
     )
 
@@ -4224,18 +3210,17 @@ def sole_late_supplier(sf_dir: str, late_days: int = LATE_SUPPLIER_DAYS) -> rd.D
     has no relational layer at all, SURVEY.md §2.4).
 
     Scale shape: lineitem collapses per batch to (orderkey, suppkey,
-    max shipday) partials — max is associative, so the orderkey-keyed
-    co-shuffle carries order×supplier-cardinality 25-byte rows, never
-    lineitems.  Each bucket re-folds the partials, attaches the order
-    date, and evaluates the whole blame predicate (late AND >= 2
+    max shipday) partials — max is associative, so the orderkey
+    :func:`co_group` carries order×supplier-cardinality 25-byte rows,
+    never lineitems.  Each bucket re-folds the partials, attaches the
+    order date, and evaluates the whole blame predicate (late AND >= 2
     suppliers AND exactly one late supplier) in one vectorized pandas
-    pass, emitting (suppkey, n) partial counts; a second suppkey-keyed
-    co-shuffle folds those against the supplier dim rows to attach
-    s_name — the dim scales with SF, so it rides the exchange, never a
-    broadcast."""
+    pass, emitting (suppkey, n) partial counts; a second suppkey
+    :func:`co_group` folds those against the supplier dim rows to
+    attach s_name — the dim scales with SF, so it rides the exchange,
+    never a broadcast."""
     import pandas as pd
 
-    buckets = 64
     day_us = 86_400_000_000
 
     def li_partials(batch: pa.Table) -> pa.Table:
@@ -4245,114 +3230,56 @@ def sole_late_supplier(sf_dir: str, late_days: int = LATE_SUPPLIER_DAYS) -> rd.D
         g = (
             pa.table(
                 {
-                    "k": batch.column("l_orderkey"),
-                    "skey": batch.column("l_suppkey"),
-                    "v": shipday,
+                    "l_orderkey": batch.column("l_orderkey"),
+                    "l_suppkey": batch.column("l_suppkey"),
+                    "shipday": shipday,
                 }
             )
-            .group_by(["k", "skey"])
-            .aggregate([("v", "max")])
+            .group_by(["l_orderkey", "l_suppkey"])
+            .aggregate([("shipday", "max")])
         )
-        kk = g.column("k").to_numpy(zero_copy_only=False)
-        return pa.table(
-            {
-                "bkt": pa.array((kk % buckets).astype(np.int32)),
-                "k": pa.array(kk, pa.int64()),
-                "role": pa.array(np.zeros(len(kk), np.int8)),
-                "skey": g.column("skey"),
-                "v": g.column("v_max"),
-            }
-        )
+        return g.rename_columns(["l_orderkey", "l_suppkey", "shipday"])
 
-    def order_rows(batch: pa.Table) -> pa.Table:
-        kk = batch.column("o_orderkey").to_numpy(zero_copy_only=False)
-        oday = pc.divide(
-            pc.cast(batch.column("o_orderdate"), pa.int64()), day_us
+    def blame(li: pd.DataFrame, orders: pd.DataFrame) -> pd.DataFrame:
+        if li.empty or orders.empty:
+            return pd.DataFrame()
+        # re-fold cross-batch partials to the exact per-(order, supplier)
+        # max; the inner merge drops orphan lineitems
+        f = li.groupby(["l_orderkey", "l_suppkey"], as_index=False)["shipday"].max()
+        f = f.merge(orders, left_on="l_orderkey", right_on="o_orderkey")
+        oday = f["o_orderdate"].to_numpy("datetime64[us]").astype(np.int64) // day_us
+        late = (f["shipday"].to_numpy(np.int64) - oday) > late_days
+        per_order = (
+            pd.DataFrame({"k": f["l_orderkey"], "late": late.astype(np.int64)})
+            .groupby("k")
+            .agg(n_supp=("late", "size"), n_late=("late", "sum"))
+            .reindex(f["l_orderkey"])
         )
-        return pa.table(
-            {
-                "bkt": pa.array((kk % buckets).astype(np.int32)),
-                "k": pa.array(kk, pa.int64()),
-                "role": pa.array(np.ones(len(kk), np.int8)),
-                "skey": pa.array(np.zeros(len(kk), np.int64)),
-                "v": oday,
-            }
-        )
-
-    def blame(g: pd.DataFrame) -> pd.DataFrame:
-        li = g[g["role"] == 0]
-        # re-fold cross-batch partials to the exact per-(order, supplier) max
-        f = li.groupby(["k", "skey"], as_index=False)["v"].max()
-        oday = (
-            g[g["role"] == 1].set_index("k")["v"].reindex(f["k"]).to_numpy()
-        )
-        valid = ~pd.isna(oday)  # inner-join semantics: drop orphan lineitems
-        f, oday = f[valid], oday[valid]
-        late = (f["v"].to_numpy() - oday.astype(np.int64)) > late_days
-        per_order = pd.DataFrame(
-            {"k": f["k"].to_numpy(), "late": late.astype(np.int64)}
-        ).groupby("k").agg(n_supp=("late", "size"), n_late=("late", "sum"))
-        po = per_order.reindex(f["k"])
         blamed = f[
             late
-            & (po["n_supp"].to_numpy() >= 2)
-            & (po["n_late"].to_numpy() == 1)
+            & (per_order["n_supp"].to_numpy() >= 2)
+            & (per_order["n_late"].to_numpy() == 1)
         ]
-        out = blamed.groupby("skey", as_index=False).size()
-        return pd.DataFrame(
-            {
-                "sbkt": (out["skey"].to_numpy(np.int64) % buckets).astype(
-                    np.int32
-                ),
-                "skey": out["skey"].to_numpy(np.int64),
-                "srole": np.zeros(len(out), np.int8),
-                "n": out["size"].to_numpy(np.int64),
-                "name": [""] * len(out),
-            }
-        )
+        out = blamed.groupby("l_suppkey", as_index=False).size()
+        return out.rename(columns={"size": "n"}).astype(np.int64)
 
-    def supp_rows(batch: pa.Table) -> pa.Table:
-        sk = batch.column("s_suppkey").to_numpy(zero_copy_only=False)
-        return pa.table(
-            {
-                "sbkt": pa.array((sk % buckets).astype(np.int32)),
-                "skey": pa.array(sk, pa.int64()),
-                "srole": pa.array(np.ones(len(sk), np.int8)),
-                "n": pa.array(np.zeros(len(sk), np.int64)),
-                "name": batch.column("s_name"),
-            }
-        )
-
-    def attach_name(g: pd.DataFrame) -> pd.DataFrame:
-        counts = (
-            g[g["srole"] == 0].groupby("skey", as_index=False)["n"].sum()
-        )
-        names = g[g["srole"] == 1].set_index("skey")["name"]
+    def attach_name(blames: pd.DataFrame, supp: pd.DataFrame) -> pd.DataFrame:
+        if blames.empty or supp.empty:
+            return pd.DataFrame()
+        counts = blames.groupby("l_suppkey", as_index=False)["n"].sum()
+        m = counts.merge(supp, left_on="l_suppkey", right_on="s_suppkey")
         return pd.DataFrame(
-            {
-                "s_name": names.reindex(counts["skey"]).to_numpy(),
-                "n_orders": counts["n"].to_numpy(np.int64),
-            }
+            {"s_name": m["s_name"], "n_orders": m["n"].to_numpy(np.int64)}
         )
 
     li = _t(sf_dir, "lineitem", ["l_orderkey", "l_suppkey", "l_shipdate"]).map_batches(
         li_partials, batch_format="pyarrow", zero_copy_batch=True
     )
-    ords = _t(sf_dir, "orders", ["o_orderkey", "o_orderdate"]).map_batches(
-        order_rows, batch_format="pyarrow", zero_copy_batch=True
-    )
-    blames = (
-        li.union(ords)
-        .groupby("bkt")
-        .map_groups(arrow_udf(blame), batch_format="pandas")
-    )
-    supp = _t(sf_dir, "supplier", ["s_suppkey", "s_name"]).map_batches(
-        supp_rows, batch_format="pyarrow", zero_copy_batch=True
-    )
-    return (
-        blames.union(supp)
-        .groupby("sbkt")
-        .map_groups(arrow_udf(attach_name), batch_format="pandas")
+    ords = _t(sf_dir, "orders", ["o_orderkey", "o_orderdate"])
+    blames = co_group(blame, li=(li, "l_orderkey"), orders=(ords, "o_orderkey"))
+    supp = _t(sf_dir, "supplier", ["s_suppkey", "s_name"])
+    return co_group(
+        attach_name, blames=(blames, "l_suppkey"), supp=(supp, "s_suppkey")
     )
 
 
@@ -4371,13 +3298,12 @@ def latency_band_priority(sf_dir: str) -> rd.Dataset:
 
     Scale shape: lineitem collapses per batch to (orderkey, shipday, n)
     partials — distinct ship DAYS per order, not lineitems — so the
-    orderkey co-shuffle carries near-order-cardinality rows; each
-    bucket attaches (orderdate, priority), bands the day delta, and
-    collapses to <= 3×2 partial cells; the final band-keyed combine
-    folds buckets × 3 rows."""
+    orderkey :func:`co_group` carries near-order-cardinality rows;
+    each bucket attaches (orderdate, priority), bands the day delta,
+    and collapses to <= 3×2 partial cells; the final band-keyed
+    combine folds buckets × 3 rows."""
     import pandas as pd
 
-    buckets = 64
     day_us = 86_400_000_000
 
     def li_partials(batch: pa.Table) -> pa.Table:
@@ -4385,59 +3311,35 @@ def latency_band_priority(sf_dir: str) -> rd.Dataset:
             pc.cast(batch.column("l_shipdate"), pa.int64()), day_us
         )
         g = (
-            pa.table({"k": batch.column("l_orderkey"), "v": shipday})
-            .group_by(["k", "v"])
+            pa.table({"l_orderkey": batch.column("l_orderkey"), "shipday": shipday})
+            .group_by(["l_orderkey", "shipday"])
             .aggregate([([], "count_all")])
         )
-        kk = g.column("k").to_numpy(zero_copy_only=False)
         return pa.table(
             {
-                "bkt": pa.array((kk % buckets).astype(np.int32)),
-                "k": pa.array(kk, pa.int64()),
-                "role": pa.array(np.zeros(len(kk), np.int8)),
-                "v": g.column("v"),
+                "l_orderkey": g.column("l_orderkey"),
+                "shipday": g.column("shipday"),
                 "n": pc.cast(g.column("count_all"), pa.int64()),
-                "pri": pa.array([""] * len(kk), pa.string()),
             }
         )
 
-    def order_rows(batch: pa.Table) -> pa.Table:
-        kk = batch.column("o_orderkey").to_numpy(zero_copy_only=False)
-        oday = pc.divide(
-            pc.cast(batch.column("o_orderdate"), pa.int64()), day_us
-        )
-        return pa.table(
-            {
-                "bkt": pa.array((kk % buckets).astype(np.int32)),
-                "k": pa.array(kk, pa.int64()),
-                "role": pa.array(np.ones(len(kk), np.int8)),
-                "v": oday,
-                "n": pa.array(np.zeros(len(kk), np.int64)),
-                "pri": batch.column("o_orderpriority"),
-            }
-        )
-
-    def band_cells(g: pd.DataFrame) -> pd.DataFrame:
-        li = g[g["role"] == 0]
-        o = g[g["role"] == 1].set_index("k")
-        oday = o["v"].reindex(li["k"]).to_numpy()
-        pri = o["pri"].reindex(li["k"]).to_numpy()
-        valid = ~pd.isna(oday)
-        li, oday, pri = li[valid], oday[valid], pri[valid]
-        days = li["v"].to_numpy() - oday.astype(np.int64)
+    def band_cells(li: pd.DataFrame, orders: pd.DataFrame) -> pd.DataFrame:
+        if li.empty or orders.empty:
+            return pd.DataFrame()
+        m = li.merge(orders, left_on="l_orderkey", right_on="o_orderkey")
+        oday = m["o_orderdate"].to_numpy("datetime64[us]").astype(np.int64) // day_us
+        days = m["shipday"].to_numpy(np.int64) - oday
         band = np.where(
             days < 0,
             "early",
             np.where(days <= LATENCY_ON_TIME_DAYS, "on_time", "late"),
         )
-        high = np.isin(pri, HIGH_PRIORITIES)
-        n = li["n"].to_numpy(np.int64)
+        high = m["o_orderpriority"].isin(HIGH_PRIORITIES).to_numpy()
+        n = m["n"].to_numpy(np.int64)
         cells = pd.DataFrame(
             {"band": band, "high_n": np.where(high, n, 0), "low_n": np.where(high, 0, n)}
         ).groupby("band", as_index=False).sum()
-        cells["high_n"] = cells["high_n"].astype(np.int64)
-        cells["low_n"] = cells["low_n"].astype(np.int64)
-        return cells
+        return cells.astype({"high_n": np.int64, "low_n": np.int64})
 
     def combine(g: pd.DataFrame) -> pd.DataFrame:
         return pd.DataFrame(
@@ -4451,13 +3353,9 @@ def latency_band_priority(sf_dir: str) -> rd.Dataset:
     li = _t(sf_dir, "lineitem", ["l_orderkey", "l_shipdate"]).map_batches(
         li_partials, batch_format="pyarrow", zero_copy_batch=True
     )
-    ords = _t(
-        sf_dir, "orders", ["o_orderkey", "o_orderdate", "o_orderpriority"]
-    ).map_batches(order_rows, batch_format="pyarrow", zero_copy_batch=True)
+    ords = _t(sf_dir, "orders", ["o_orderkey", "o_orderdate", "o_orderpriority"])
     return (
-        li.union(ords)
-        .groupby("bkt")
-        .map_groups(arrow_udf(band_cells), batch_format="pandas")
+        co_group(band_cells, li=(li, "l_orderkey"), orders=(ords, "o_orderkey"))
         .groupby("band")
         .map_groups(arrow_udf(combine), batch_format="pandas")
     )
@@ -4558,140 +3456,65 @@ def min_cost_supplier(sf_dir: str, max_size: int = MIN_COST_MAX_SIZE) -> rd.Data
     suppkey (Q2 orders by supplier).
 
     Scale shape: per-batch Arrow (partkey, suppkey) min-cost partials
-    co-shuffle ONCE with the size-filtered part keys on
-    ``partkey % buckets`` (min is associative, so multi-batch partials
-    stay exact in-bucket); each bucket keeps one argmin row per
-    qualifying part, and a second suppkey co-shuffle attaches supplier
-    names — nothing wider than (pk, sk, cost) ever moves."""
+    :func:`co_group` ONCE with the size-filtered part keys on partkey
+    (min is associative, so multi-batch partials stay exact
+    in-bucket); each bucket keeps one argmin row per qualifying part,
+    and a second suppkey :func:`co_group` attaches supplier names —
+    nothing wider than (pk, sk, cost) ever moves."""
     import pandas as pd
 
-    buckets = 64
-
     def li_partials(batch: pa.Table) -> pa.Table:
-        price = pc.cast(
-            pc.round(pc.multiply(batch.column("l_extendedprice"), 100.0)),
-            pa.int64(),
-        )
-        qty = pc.cast(
-            pc.round(pc.multiply(batch.column("l_quantity"), 100.0)), pa.int64()
-        )
         # exact int64 floor division (matches SQL //): numpy, not a
         # float path, so no 2^53 representability caveat
         ucost = (
-            price.to_numpy(zero_copy_only=False) * 10000
-        ) // qty.to_numpy(zero_copy_only=False)
+            _cents(batch.column("l_extendedprice")).to_numpy(zero_copy_only=False)
+            * 10000
+        ) // _cents(batch.column("l_quantity")).to_numpy(zero_copy_only=False)
         g = (
             pa.table(
                 {
-                    "pk": batch.column("l_partkey"),
-                    "sk": batch.column("l_suppkey"),
-                    "u": pa.array(ucost, pa.int64()),
+                    "l_partkey": batch.column("l_partkey"),
+                    "l_suppkey": batch.column("l_suppkey"),
+                    "unit_cc": pa.array(ucost, pa.int64()),
                 }
             )
-            .group_by(["pk", "sk"])
-            .aggregate([("u", "min")])
+            .group_by(["l_partkey", "l_suppkey"])
+            .aggregate([("unit_cc", "min")])
         )
-        pk = g.column("pk").to_numpy(zero_copy_only=False)
-        return pa.table(
-            {
-                "bkt": pa.array((pk % buckets).astype(np.int32)),
-                "role": pa.array(np.zeros(len(pk), np.int8)),
-                "pk": pa.array(pk, pa.int64()),
-                "sk": pc.cast(g.column("sk"), pa.int64()),
-                "u": g.column("u_min"),
-            }
-        )
+        return g.rename_columns(["l_partkey", "l_suppkey", "unit_cc"])
 
-    def part_rows(batch: pa.Table) -> pa.Table:
+    def size_keys(batch: pa.Table) -> pa.Table:
         b = batch.filter(
             pc.less_equal(batch.column("p_size"), pa.scalar(max_size, pa.int32()))
         )
-        pk = b.column("p_partkey").to_numpy(zero_copy_only=False)
-        n = len(pk)
-        return pa.table(
-            {
-                "bkt": pa.array((pk % buckets).astype(np.int32)),
-                "role": pa.array(np.ones(n, np.int8)),
-                "pk": pa.array(pk, pa.int64()),
-                "sk": pa.array(np.zeros(n, np.int64)),
-                "u": pa.array(np.zeros(n, np.int64)),
-            }
-        )
+        return b.select(["p_partkey"])
 
-    def per_part_argmin(g: pd.DataFrame) -> pa.Table:
-        want = g.loc[g["role"] == 1, "pk"].unique()
-        li = g[(g["role"] == 0) & g["pk"].isin(want)]
-        if len(li) == 0:
-            return pa.table(
-                {
-                    "bkt": pa.array([], pa.int32()),
-                    "role": pa.array([], pa.int8()),
-                    "pk": pa.array([], pa.int64()),
-                    "sk": pa.array([], pa.int64()),
-                    "u": pa.array([], pa.int64()),
-                    "nm": pa.array([], pa.string()),
-                }
-            )
-        tot = li.groupby(["pk", "sk"], as_index=False)["u"].min()
-        best = tot.sort_values(["pk", "u", "sk"]).drop_duplicates("pk")
-        sk = best["sk"].to_numpy(np.int64)
-        return pa.table(
-            {
-                "bkt": pa.array((sk % buckets).astype(np.int32)),
-                "role": pa.array(np.zeros(len(best), np.int8)),
-                "pk": pa.array(best["pk"].to_numpy(np.int64)),
-                "sk": pa.array(sk),
-                "u": pa.array(best["u"].to_numpy(np.int64)),
-                "nm": pa.array([""] * len(best), pa.string()),
-            }
+    def per_part_argmin(li: pd.DataFrame, part: pd.DataFrame) -> pd.DataFrame:
+        if li.empty or part.empty:
+            return pd.DataFrame()
+        li = li[li["l_partkey"].isin(part["p_partkey"])]
+        tot = li.groupby(["l_partkey", "l_suppkey"], as_index=False)["unit_cc"].min()
+        best = tot.sort_values(["l_partkey", "unit_cc", "l_suppkey"]).drop_duplicates(
+            "l_partkey"
         )
+        return best.rename(columns={"l_partkey": "p_partkey"})
 
-    def supp_rows(batch: pa.Table) -> pa.Table:
-        sk = batch.column("s_suppkey").to_numpy(zero_copy_only=False)
-        n = len(sk)
-        return pa.table(
-            {
-                "bkt": pa.array((sk % buckets).astype(np.int32)),
-                "role": pa.array(np.ones(n, np.int8)),
-                "pk": pa.array(np.zeros(n, np.int64)),
-                "sk": pa.array(sk, pa.int64()),
-                "u": pa.array(np.zeros(n, np.int64)),
-                "nm": batch.column("s_name"),
-            }
-        )
-
-    def attach_names(g: pd.DataFrame) -> pa.Table:
-        f = g[g["role"] == 0]
-        names = g[g["role"] == 1].set_index("sk")["nm"]
-        return pa.table(
-            {
-                "p_partkey": pa.array(f["pk"].to_numpy(np.int64), pa.int64()),
-                "s_suppkey": pa.array(f["sk"].to_numpy(np.int64), pa.int64()),
-                "s_name": pa.array(
-                    [str(v) for v in names.reindex(f["sk"])], pa.string()
-                ),
-                "unit_cc": pa.array(f["u"].to_numpy(np.int64), pa.int64()),
-            }
-        )
+    def attach_names(best: pd.DataFrame, supp: pd.DataFrame) -> pd.DataFrame:
+        if best.empty or supp.empty:
+            return pd.DataFrame()
+        m = best.merge(supp, left_on="l_suppkey", right_on="s_suppkey")
+        return m[["p_partkey", "s_suppkey", "s_name", "unit_cc"]]
 
     li = _t(
         sf_dir, "lineitem",
         ["l_partkey", "l_suppkey", "l_quantity", "l_extendedprice"],
     ).map_batches(li_partials, batch_format="pyarrow", zero_copy_batch=True)
     parts = _t(sf_dir, "part", ["p_partkey", "p_size"]).map_batches(
-        part_rows, batch_format="pyarrow", zero_copy_batch=True
+        size_keys, batch_format="pyarrow", zero_copy_batch=True
     )
-    supp = _t(sf_dir, "supplier", ["s_suppkey", "s_name"]).map_batches(
-        supp_rows, batch_format="pyarrow", zero_copy_batch=True
-    )
-    return (
-        li.union(parts)
-        .groupby("bkt")
-        .map_groups(arrow_udf(per_part_argmin), batch_format="pandas")
-        .union(supp)
-        .groupby("bkt")
-        .map_groups(arrow_udf(attach_names), batch_format="pandas")
-    )
+    best = co_group(per_part_argmin, li=(li, "l_partkey"), part=(parts, "p_partkey"))
+    supp = _t(sf_dir, "supplier", ["s_suppkey", "s_name"])
+    return co_group(attach_names, best=(best, "l_suppkey"), supp=(supp, "s_suppkey"))
 
 
 # -- TPC-H Q16: supplier counts per (brand, size) -----------------------------
@@ -4706,37 +3529,17 @@ def brand_supplier_counts(sf_dir: str) -> rd.Dataset:
     prefix — TPC-H Q16's supplier-diversity report, with distinct
     lineitem (partkey, suppkey) pairs standing in for partsupp.
 
-    Scale shape: per-batch distinct (pk, sk) pairs co-shuffle with the
-    filtered part attribute rows on ``pk % buckets``; each bucket maps
-    its pairs to (brand, size, sk) triples; the SECOND exchange keys on
-    ``sk % buckets`` so every copy of a triple (the same supplier can
-    reach one brand/size via parts in different pk-buckets) lands in
+    Scale shape: per-batch distinct (pk, sk) pairs :func:`co_group`
+    with the filtered part attribute rows on partkey; each bucket maps
+    its pairs to (brand, size, sk) triples; the SECOND exchange keys
+    on suppkey so every copy of a triple (the same supplier can reach
+    one brand/size via parts in different partkey buckets) lands in
     one bucket, where a single drop_duplicates makes the distinct
     exact; per-bucket counts then sum on a constant key."""
     import pandas as pd
 
-    buckets = 64
-
     def li_pairs(batch: pa.Table) -> pa.Table:
-        g = (
-            pa.table(
-                {"pk": batch.column("l_partkey"), "sk": batch.column("l_suppkey")}
-            )
-            .group_by(["pk", "sk"])
-            .aggregate([])
-        )
-        pk = g.column("pk").to_numpy(zero_copy_only=False)
-        n = len(pk)
-        return pa.table(
-            {
-                "bkt": pa.array((pk % buckets).astype(np.int32)),
-                "role": pa.array(np.zeros(n, np.int8)),
-                "pk": pa.array(pk, pa.int64()),
-                "sk": pc.cast(g.column("sk"), pa.int64()),
-                "brand": pa.array([""] * n, pa.string()),
-                "size": pa.array(np.zeros(n, np.int64)),
-            }
-        )
+        return batch.group_by(["l_partkey", "l_suppkey"]).aggregate([])
 
     def part_rows(batch: pa.Table) -> pa.Table:
         keep = pc.and_(
@@ -4745,43 +3548,25 @@ def brand_supplier_counts(sf_dir: str) -> rd.Dataset:
                 pc.starts_with(batch.column("p_type"), Q16_EXCL_TYPE_PREFIX)
             ),
         )
-        b = batch.filter(keep)
-        pk = b.column("p_partkey").to_numpy(zero_copy_only=False)
-        n = len(pk)
-        return pa.table(
-            {
-                "bkt": pa.array((pk % buckets).astype(np.int32)),
-                "role": pa.array(np.ones(n, np.int8)),
-                "pk": pa.array(pk, pa.int64()),
-                "sk": pa.array(np.zeros(n, np.int64)),
-                "brand": b.column("p_brand"),
-                "size": pc.cast(b.column("p_size"), pa.int64()),
-            }
-        )
+        return batch.filter(keep).select(["p_partkey", "p_brand", "p_size"])
 
-    def to_triples(g: pd.DataFrame) -> pa.Table:
-        pairs = g[g["role"] == 0]
-        attrs = g[g["role"] == 1].set_index("pk")[["brand", "size"]]
-        m = pairs.join(attrs, on="pk", how="inner", rsuffix="_p")
-        sk = m["sk"].to_numpy(np.int64)
-        return pa.table(
-            {
-                "bkt": pa.array((sk % buckets).astype(np.int32)),
-                "sk": pa.array(sk),
-                "brand": pa.array(m["brand_p"].to_numpy(), pa.string()),
-                "size": pa.array(m["size_p"].to_numpy(np.int64)),
-            }
-        )
+    def to_triples(pairs: pd.DataFrame, part: pd.DataFrame) -> pd.DataFrame:
+        if pairs.empty or part.empty:
+            return pd.DataFrame()
+        m = pairs.merge(part, left_on="l_partkey", right_on="p_partkey")
+        return m[["l_suppkey", "p_brand", "p_size"]]
 
-    def bucket_counts(g: pd.DataFrame) -> pa.Table:
-        d = g.drop_duplicates(["brand", "size", "sk"])
-        c = d.groupby(["brand", "size"], as_index=False).agg(n=("sk", "count"))
-        return pa.table(
+    def bucket_counts(triples: pd.DataFrame) -> pd.DataFrame:
+        if triples.empty:
+            return pd.DataFrame()
+        d = triples.drop_duplicates()
+        c = d.groupby(["p_brand", "p_size"], as_index=False).size()
+        return pd.DataFrame(
             {
-                "fin": pa.array(np.zeros(len(c), np.int8)),
-                "p_brand": pa.array(c["brand"].to_numpy(), pa.string()),
-                "p_size": pa.array(c["size"].to_numpy(np.int64)),
-                "n": pa.array(c["n"].to_numpy(np.int64)),
+                "fin": np.zeros(len(c), np.int8),
+                "p_brand": c["p_brand"],
+                "p_size": c["p_size"].to_numpy(np.int64),
+                "n": c["size"].to_numpy(np.int64),
             }
         )
 
@@ -4801,12 +3586,9 @@ def brand_supplier_counts(sf_dir: str) -> rd.Dataset:
     parts = _t(
         sf_dir, "part", ["p_partkey", "p_brand", "p_type", "p_size"]
     ).map_batches(part_rows, batch_format="pyarrow", zero_copy_batch=True)
+    triples = co_group(to_triples, pairs=(li, "l_partkey"), part=(parts, "p_partkey"))
     return (
-        li.union(parts)
-        .groupby("bkt")
-        .map_groups(arrow_udf(to_triples), batch_format="pandas")
-        .groupby("bkt")
-        .map_groups(arrow_udf(bucket_counts), batch_format="pandas")
+        co_group(bucket_counts, triples=(triples, "l_suppkey"))
         .groupby("fin")
         .map_groups(arrow_udf(final), batch_format="pandas")
     )
@@ -4827,13 +3609,13 @@ def dominant_suppliers(sf_dir: str) -> rd.Dataset:
     monopoly tautology).
 
     Scale shape: the date filter prunes at the batch level; per-batch
-    (pk, sk, qty_cents) sum partials take one pk co-shuffle; each pk
-    lives wholly in one bucket, so the 2·q > total and nsup ≥ 2 gates
-    are exact in-bucket and only (sk, n_dominated) partials leave; a
-    second sk co-shuffle folds partials and attaches names."""
+    (pk, sk, qty_cents) sum partials take one partkey exchange; each
+    pk lives wholly in one bucket, so the 2·q > total and nsup ≥ 2
+    gates are exact in-bucket and only (sk, n_dominated) partials
+    leave; a second suppkey :func:`co_group` folds partials and
+    attaches names."""
     import pandas as pd
 
-    buckets = 64
     lo_us, hi_us = _epoch_us(DOM_DATE_LO), _epoch_us(DOM_DATE_HI)
 
     def li_partials(batch: pa.Table) -> pa.Table:
@@ -4844,67 +3626,39 @@ def dominant_suppliers(sf_dir: str) -> rd.Dataset:
                 pc.less(ship, pa.scalar(hi_us, pa.int64())),
             )
         )
-        qty = pc.cast(
-            pc.round(pc.multiply(b.column("l_quantity"), 100.0)), pa.int64()
-        )
         g = (
             pa.table(
-                {"pk": b.column("l_partkey"), "sk": b.column("l_suppkey"), "q": qty}
+                {
+                    "l_partkey": b.column("l_partkey"),
+                    "l_suppkey": b.column("l_suppkey"),
+                    "q": _cents(b.column("l_quantity")),
+                }
             )
-            .group_by(["pk", "sk"])
+            .group_by(["l_partkey", "l_suppkey"])
             .aggregate([("q", "sum")])
         )
-        pk = g.column("pk").to_numpy(zero_copy_only=False)
-        return pa.table(
-            {
-                "bkt": pa.array((pk % buckets).astype(np.int32)),
-                "pk": pa.array(pk, pa.int64()),
-                "sk": pc.cast(g.column("sk"), pa.int64()),
-                "q": g.column("q_sum"),
-            }
-        )
+        return g.rename_columns(["l_partkey", "l_suppkey", "q"])
 
-    def per_part_gate(g: pd.DataFrame) -> pa.Table:
-        ps = g.groupby(["pk", "sk"], as_index=False)["q"].sum()
-        tot = ps.groupby("pk").agg(tq=("q", "sum"), nsup=("sk", "size"))
-        m = ps.join(tot, on="pk")
+    def per_part_gate(li: pd.DataFrame) -> pd.DataFrame:
+        if li.empty:
+            return pd.DataFrame()
+        ps = li.groupby(["l_partkey", "l_suppkey"], as_index=False)["q"].sum()
+        tot = ps.groupby("l_partkey").agg(tq=("q", "sum"), nsup=("l_suppkey", "size"))
+        m = ps.join(tot, on="l_partkey")
         dom = m[(2 * m["q"] > m["tq"]) & (m["nsup"] >= 2)]
-        c = dom.groupby("sk", as_index=False).size()
-        sk = c["sk"].to_numpy(np.int64)
-        return pa.table(
-            {
-                "bkt": pa.array((sk % buckets).astype(np.int32)),
-                "role": pa.array(np.zeros(len(c), np.int8)),
-                "sk": pa.array(sk),
-                "n": pa.array(c["size"].to_numpy(np.int64)),
-                "nm": pa.array([""] * len(c), pa.string()),
-            }
-        )
+        c = dom.groupby("l_suppkey", as_index=False).size()
+        return c.rename(columns={"size": "n"}).astype(np.int64)
 
-    def supp_rows(batch: pa.Table) -> pa.Table:
-        sk = batch.column("s_suppkey").to_numpy(zero_copy_only=False)
-        n = len(sk)
-        return pa.table(
+    def fold_names(dom: pd.DataFrame, supp: pd.DataFrame) -> pd.DataFrame:
+        if dom.empty or supp.empty:
+            return pd.DataFrame()
+        agg = dom.groupby("l_suppkey", as_index=False)["n"].sum()
+        m = agg.merge(supp, left_on="l_suppkey", right_on="s_suppkey")
+        return pd.DataFrame(
             {
-                "bkt": pa.array((sk % buckets).astype(np.int32)),
-                "role": pa.array(np.ones(n, np.int8)),
-                "sk": pa.array(sk, pa.int64()),
-                "n": pa.array(np.zeros(n, np.int64)),
-                "nm": batch.column("s_name"),
-            }
-        )
-
-    def fold_names(g: pd.DataFrame) -> pa.Table:
-        f = g[g["role"] == 0]
-        agg = f.groupby("sk", as_index=False)["n"].sum()
-        names = g[g["role"] == 1].set_index("sk")["nm"]
-        return pa.table(
-            {
-                "s_suppkey": pa.array(agg["sk"].to_numpy(np.int64), pa.int64()),
-                "s_name": pa.array(
-                    [str(v) for v in names.reindex(agg["sk"])], pa.string()
-                ),
-                "n_parts": pa.array(agg["n"].to_numpy(np.int64), pa.int64()),
+                "s_suppkey": m["s_suppkey"].to_numpy(np.int64),
+                "s_name": m["s_name"],
+                "n_parts": m["n"].to_numpy(np.int64),
             }
         )
 
@@ -4912,16 +3666,9 @@ def dominant_suppliers(sf_dir: str) -> rd.Dataset:
         sf_dir, "lineitem",
         ["l_partkey", "l_suppkey", "l_quantity", "l_shipdate"],
     ).map_batches(li_partials, batch_format="pyarrow", zero_copy_batch=True)
-    supp = _t(sf_dir, "supplier", ["s_suppkey", "s_name"]).map_batches(
-        supp_rows, batch_format="pyarrow", zero_copy_batch=True
-    )
-    return (
-        li.groupby("bkt")
-        .map_groups(arrow_udf(per_part_gate), batch_format="pandas")
-        .union(supp)
-        .groupby("bkt")
-        .map_groups(arrow_udf(fold_names), batch_format="pandas")
-    )
+    dom = co_group(per_part_gate, li=(li, "l_partkey"))
+    supp = _t(sf_dir, "supplier", ["s_suppkey", "s_name"])
+    return co_group(fold_names, dom=(dom, "l_suppkey"), supp=(supp, "s_suppkey"))
 
 
 # -- robust (median/MAD) value anomalies ----------------------------------------
@@ -5270,77 +4017,36 @@ def nation_year_revenue(sf_dir: str) -> rd.Dataset:
     covers: a year-refined :func:`supplier_value_by_nation`.
 
     Scale shape: per-batch (suppkey, year, rev) Arrow partials — year
-    extracted as epoch-day // 365.2425 is WRONG; the exact epoch-us →
-    year mapping uses numpy datetime64 casting, identical to SQL
-    year() — co-shuffle once with supplier nation rows on suppkey
-    buckets; each bucket folds to ≤ nations × years rows and a
-    constant-key combine finishes."""
+    extracted as epoch-day // 365.2425 is WRONG; Arrow's calendar
+    ``year()`` is identical to SQL year() — :func:`co_group` once with
+    supplier nation rows on suppkey; each bucket folds to ≤ nations ×
+    years rows and a constant-key combine finishes."""
     import pandas as pd
 
-    buckets = 64
     nation = _small_table_dict(sf_dir, "nation", "n_nationkey", "n_name")
 
     def li_partials(batch: pa.Table) -> pa.Table:
-        price = pc.cast(
-            pc.round(pc.multiply(batch.column("l_extendedprice"), 100.0)),
-            pa.int64(),
-        )
-        disc = pc.cast(
-            pc.round(pc.multiply(batch.column("l_discount"), 100.0)), pa.int64()
-        )
-        rev = pc.multiply(price, pc.subtract(pa.scalar(100, pa.int64()), disc))
-        ship_us = pc.cast(batch.column("l_shipdate"), pa.int64()).to_numpy(
-            zero_copy_only=False
-        )
-        year = (
-            ship_us.astype("datetime64[us]").astype("datetime64[Y]").astype(np.int64)
-            + 1970
-        )
         g = (
             pa.table(
                 {
-                    "sk": batch.column("l_suppkey"),
-                    "year": pa.array(year),
-                    "rev": rev,
+                    "l_suppkey": batch.column("l_suppkey"),
+                    "year": pc.cast(pc.year(batch.column("l_shipdate")), pa.int64()),
+                    "rev": _rev_cc(batch),
                 }
             )
-            .group_by(["sk", "year"])
+            .group_by(["l_suppkey", "year"])
             .aggregate([("rev", "sum")])
         )
-        sk = g.column("sk").to_numpy(zero_copy_only=False)
-        return pa.table(
-            {
-                "bkt": pa.array((sk % buckets).astype(np.int32)),
-                "role": pa.array(np.zeros(len(sk), np.int8)),
-                "sk": pa.array(sk, pa.int64()),
-                "year": g.column("year"),
-                "rev": g.column("rev_sum"),
-            }
-        )
+        return g.rename_columns(["l_suppkey", "year", "rev"])
 
-    def supp_rows(batch: pa.Table) -> pa.Table:
-        sk = batch.column("s_suppkey").to_numpy(zero_copy_only=False)
-        n = len(sk)
-        return pa.table(
-            {
-                "bkt": pa.array((sk % buckets).astype(np.int32)),
-                "role": pa.array(np.ones(n, np.int8)),
-                "sk": pa.array(sk, pa.int64()),
-                "year": pc.cast(batch.column("s_nationkey"), pa.int64()),
-                "rev": pa.array(np.zeros(n, np.int64)),
-            }
-        )
-
-    def fold(g: pd.DataFrame) -> pd.DataFrame:
-        f = g[g["role"] == 0]
-        nk = g[g["role"] == 1].set_index("sk")["year"]  # nationkey
-        m = f.assign(nk=nk.reindex(f["sk"]).to_numpy())
-        m = m[pd.notna(m["nk"])]
-        m["n_name"] = m["nk"].astype(np.int64).map(nation)
+    def fold(li: pd.DataFrame, supp: pd.DataFrame) -> pd.DataFrame:
+        if li.empty or supp.empty:
+            return pd.DataFrame()
+        m = li.merge(supp, left_on="l_suppkey", right_on="s_suppkey")
+        m["n_name"] = m["s_nationkey"].map(nation)
         agg = m.groupby(["n_name", "year"], as_index=False)["rev"].sum()
         agg["fin"] = np.int8(0)
-        agg["rev"] = agg["rev"].astype(np.int64)
-        return agg
+        return agg.astype({"year": np.int64, "rev": np.int64})
 
     def final(g: pd.DataFrame) -> pd.DataFrame:
         agg = g.groupby(["n_name", "year"], as_index=False)["rev"].sum()
@@ -5356,13 +4062,9 @@ def nation_year_revenue(sf_dir: str) -> rd.Dataset:
         sf_dir, "lineitem",
         ["l_suppkey", "l_shipdate", "l_extendedprice", "l_discount"],
     ).map_batches(li_partials, batch_format="pyarrow", zero_copy_batch=True)
-    supp = _t(sf_dir, "supplier", ["s_suppkey", "s_nationkey"]).map_batches(
-        supp_rows, batch_format="pyarrow", zero_copy_batch=True
-    )
+    supp = _t(sf_dir, "supplier", ["s_suppkey", "s_nationkey"])
     return (
-        li.union(supp)
-        .groupby("bkt")
-        .map_groups(arrow_udf(fold), batch_format="pandas")
+        co_group(fold, li=(li, "l_suppkey"), supp=(supp, "s_suppkey"))
         .groupby("fin")
         .map_groups(arrow_udf(final), batch_format="pandas")
     )

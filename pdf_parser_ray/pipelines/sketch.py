@@ -23,6 +23,7 @@ import os
 
 import numpy as np
 import pyarrow as pa
+import ray
 import ray.data as rd
 
 from .io_util import arrow_udf, read_parquet_clean
@@ -182,14 +183,19 @@ def cms_counts(on: str, w: int = 4096, d: int = 4,
 
 
 def heavy_hitters(sf_dir: str, k: int = 10, w: int = 4096, d: int = 4) -> rd.Dataset:
-    """(user_id, n_est): the ~top-k most active users by event count —
-    the heavy-hitters-at-scale pattern: each batch nominates its LOCAL
-    top-k ids (candidate set ≤ k × blocks, the only thing collected),
-    one mergeable Count-Min sketch accumulates the full stream
-    (constant-size state through the tree merge), and candidates are
-    ranked by their sketch estimate (ties broken by user_id).  Exact
-    per-candidate counts never shuffle; estimates are upper bounds
-    within ~e·N/w.  Accuracy pinned vs exact counts in tests."""
+    """(user_id, n_est): the top-k users by Count-Min estimated event
+    count, ties broken by user_id — the heavy-hitters-at-scale pattern.
+    One mergeable Count-Min sketch accumulates the full stream
+    (constant-size state through the tree merge) and is broadcast with
+    ``ray.put``; each batch then nominates its distinct ids' top-k by
+    that GLOBAL estimate (candidate set ≤ k × batches, the only thing
+    collected).  An id in the global top-k by (estimate desc, id) is in
+    the top-k of every batch that holds it, so the candidates always
+    contain the global top-k and the answer does not depend on the
+    block layout (batch-LOCAL counts would drop true heavy hitters when
+    blocks are small).  Exact per-candidate counts never
+    shuffle; estimates are upper bounds within ~e·N/w.  Accuracy pinned
+    vs exact counts in tests."""
     import os
 
     from .dedup import _blocks_for
@@ -199,34 +205,33 @@ def heavy_hitters(sf_dir: str, k: int = 10, w: int = 4096, d: int = 4) -> rd.Dat
         path, columns=["user_id"], override_num_blocks=_blocks_for(path)
     )
 
+    # deliberate global ds.aggregate — exempt from the house rule
+    # against Ray global aggregates: the state here is ONE
+    # constant-size CMS ndarray per block, merged tree-wise; there is no
+    # per-key row exchange for a partial+map_groups combine to shrink,
+    # so the fixed AllToAll overhead IS the whole (tiny) exchange
+    table = ds.aggregate(cms_counts("user_id", w=w, d=d, alias_name="cms"))["cms"]
+    table_ref = ray.put(table)
+
+    def top_by_estimate(ids: np.ndarray) -> np.ndarray:
+        est = cms_query(ray.get(table_ref), ids)
+        return ids[np.lexsort((ids, -est))[:k]]
+
     def local_topk(batch: pa.Table) -> pa.Table:
-        ids, counts = np.unique(
-            batch.column("user_id").to_numpy(zero_copy_only=False),
-            return_counts=True,
-        )
-        order = np.lexsort((ids, -counts))[:k]
-        return pa.table({"user_id": pa.array(ids[order].astype(np.int64))})
+        ids = np.unique(batch.column("user_id").to_numpy(zero_copy_only=False))
+        return pa.table({"user_id": pa.array(top_by_estimate(ids.astype(np.int64)))})
 
     candidates = np.unique(
         ds.map_batches(local_topk, batch_format="pyarrow", zero_copy_batch=True)
         .to_pandas()["user_id"]
         .to_numpy()
     )
-
-    # deliberate global ds.aggregate — exempt from the house rule
-    # against Ray global aggregates (CLAUDE.md): the state here is ONE
-    # constant-size CMS ndarray per block, merged tree-wise; there is no
-    # per-key row exchange for a partial+map_groups combine to shrink,
-    # so the fixed AllToAll overhead IS the whole (tiny) exchange
-    row = ds.aggregate(cms_counts("user_id", w=w, d=d, alias_name="cms"))
-    table = row["cms"]
-    est = cms_query(table, candidates)
-    order = np.lexsort((candidates, -est))[:k]
+    top = top_by_estimate(candidates)
     return rd.from_arrow(
         pa.table(
             {
-                "user_id": pa.array(candidates[order].astype(np.int64)),
-                "n_est": pa.array(est[order].astype(np.int64)),
+                "user_id": pa.array(top.astype(np.int64)),
+                "n_est": pa.array(cms_query(table, top).astype(np.int64)),
             }
         )
     )

@@ -31,3 +31,14 @@ def quiet_data_context(ray_session):
     ctx.enable_progress_bars = False
     ctx.execution_options.verbose_progress = False
     return ctx
+
+
+@pytest.fixture
+def small_blocks(quiet_data_context):
+    """Perturbed block layout for execution-invariance checks: 16 KiB
+    target blocks, so every operator sees many tiny blocks.  Restores
+    the previous target afterwards."""
+    old = quiet_data_context.target_max_block_size
+    quiet_data_context.target_max_block_size = 16 * 1024
+    yield quiet_data_context
+    quiet_data_context.target_max_block_size = old

@@ -1,7 +1,9 @@
 """Distributed join operators: attach_dim co-shuffle and broadcast
 lookup semantics."""
 
+import pandas as pd
 import pyarrow as pa
+import pytest
 
 
 def _fact():
@@ -62,6 +64,151 @@ class TestAttachDim:
             .sort_values("k")
         )
         assert list(out["label"]) == ["x", "y", "missing", "missing"]
+
+
+class TestExactness:
+    """Int64 values past 2^53 must survive the co-shuffle exactly."""
+
+    BIG = 2**62 + 1
+
+    def test_attach_dim_keeps_big_fact_ints(self, ray_session, quiet_data_context):
+        import ray.data as rd
+
+        from pdf_parser_ray.pipelines.join import attach_dim
+
+        fact = rd.from_arrow(
+            pa.table(
+                {
+                    "k": pa.array([1, 2], pa.int64()),
+                    "v": pa.array([self.BIG, 7], pa.int64()),
+                }
+            )
+        )
+        out = attach_dim(fact, _dim(), "k", "dk", ["name"]).to_pandas()
+        assert sorted(int(v) for v in out["v"]) == [7, self.BIG]
+
+    def test_asof_attach_keeps_big_left_ints(self, ray_session, quiet_data_context):
+        import ray.data as rd
+
+        from pdf_parser_ray.pipelines.join import asof_attach
+
+        left = pa.table(
+            {
+                "uid": pa.array([3], pa.int64()),
+                "ts": TestAsofAttach._ts(10),
+                "amount": pa.array([self.BIG], pa.int64()),
+            }
+        )
+        right = pa.table(
+            {"uid": pa.array([3], pa.int64()), "ts": TestAsofAttach._ts(4)}
+        )
+        out = asof_attach(
+            rd.from_arrow(left), rd.from_arrow(right), key_col="uid", ts_col="ts"
+        ).to_pandas()
+        assert [int(v) for v in out["amount"]] == [self.BIG]
+
+
+def _co_group_case():
+    """Three sides for co_group — a and b share the column names k, s
+    and x; c holds three keys only, so most buckets lack it — and a
+    probe that reports one signature row per side (columns:dtypes, row
+    count) plus each data row rendered as text.  Nested so Ray ships
+    them by value."""
+    import pandas as pd
+
+    def side_a(batch):
+        i = batch["id"].to_numpy()
+        return pa.table(
+            {
+                "k": pa.array(i % 500, pa.int64()),
+                "x": pa.array(2**53 + 3 + i, pa.int64()),
+                "s": pa.array([f"a{v}" for v in i], pa.string()),
+                "ts": pa.array(i * 1_000_003, pa.timestamp("us")),
+            }
+        )
+
+    def side_b(batch):
+        i = batch["id"].to_numpy()
+        return pa.table(
+            {
+                "k": pa.array(i % 700, pa.int64()),
+                "s": pa.array([f"b{v}" for v in i], pa.string()),
+                "x": pa.array(-(2**60) - i, pa.int64()),
+            }
+        )
+
+    def side_c(batch):
+        i = batch["id"].to_numpy()
+        return pa.table(
+            {
+                "key_c": pa.array(i % 3, pa.int64()),
+                "note": pa.array([f"c{v}" for v in i], pa.string()),
+            }
+        )
+
+    def probe(**frames):
+        out = []
+        for name, df in frames.items():
+            sig = ",".join(f"{c}:{t}" for c, t in df.dtypes.items())
+            rows = list(df.astype(str).agg("|".join, axis=1)) if len(df) else []
+            out.append(
+                pd.DataFrame(
+                    {"side": name, "sig": sig, "n": len(df), "row": ["", *rows]}
+                )
+            )
+        return pd.concat(out, ignore_index=True)
+
+    sides = {"a": (side_a, "k", 6000), "b": (side_b, "k", 3000), "c": (side_c, "key_c", 30)}
+    return sides, probe
+
+
+class TestCoGroup:
+    """join.co_group hands each bucket one frame per side holding
+    exactly that side's columns and Arrow dtypes, whatever the block
+    layout."""
+
+    seen: dict = {}
+
+    @pytest.mark.parametrize("layout", ["default", "small_blocks"])
+    def test_frames_exact_and_layout_invariant(
+        self, ray_session, quiet_data_context, request, layout
+    ):
+        import numpy as np
+        import ray.data as rd
+
+        from pdf_parser_ray.pipelines.join import co_group
+
+        if layout == "small_blocks":
+            request.getfixturevalue("small_blocks")
+        spec, probe = _co_group_case()
+        sides = {
+            name: (
+                rd.range(n, override_num_blocks=4).map_batches(
+                    fn, batch_format="pyarrow"
+                ),
+                key,
+            )
+            for name, (fn, key, n) in spec.items()
+        }
+        got = co_group(probe, **sides).to_pandas()
+        for name, (fn, _, n) in spec.items():
+            want = fn(pa.table({"id": np.arange(n)})).to_pandas()
+            mine = got[got["side"] == name]
+            sigs = mine[mine["row"] == ""]
+            assert len(sigs) == 64  # fn ran once per bucket
+            assert set(sigs["sig"]) == {
+                ",".join(f"{c}:{t}" for c, t in want.dtypes.items())
+            }
+            assert int(sigs["n"].sum()) == n
+            rows = sorted(mine.loc[mine["row"] != "", "row"])
+            assert rows == sorted(want.astype(str).agg("|".join, axis=1))
+        # side c reaches most buckets as a typed, empty frame
+        c_sigs = got[(got["side"] == "c") & (got["row"] == "")]
+        assert (c_sigs["n"] == 0).sum() >= 60
+        canon = got.sort_values(["side", "row", "n", "sig"]).reset_index(drop=True)
+        for other in self.seen.values():
+            pd.testing.assert_frame_equal(canon, other)
+        self.seen[layout] = canon
 
 
 class TestIVFIndex:

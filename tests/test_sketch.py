@@ -4,6 +4,7 @@ and merge associativity (the property the distributed combine relies
 on)."""
 
 import numpy as np
+import pytest
 
 from pdf_parser_ray.pipelines.sketch import (
     _mix64,
@@ -111,6 +112,36 @@ class TestCountMin:
         # the estimated top-1 count is at least the true max count
         assert int(df.n_est.max()) >= int(counts.max())
 
+
+    @pytest.mark.parametrize("layout", ["default", "small_blocks"])
+    def test_heavy_hitters_layout_invariant(
+        self, ray_session, quiet_data_context, request, layout
+    ):
+        """The answer is the top-10 by Count-Min estimate over ALL
+        distinct ids (ties by id) under any block layout — batch-local
+        nomination dropped true heavy hitters at 16 KiB blocks."""
+        import pyarrow.parquet as pq
+
+        from pdf_parser_ray.pipelines.sketch import (
+            cms_accumulate,
+            cms_query,
+            heavy_hitters,
+        )
+
+        from __ray_entry__ import _ORACLE_SF_DIR as sf
+
+        if layout == "small_blocks":
+            request.getfixturevalue("small_blocks")
+        df = heavy_hitters(sf, k=10).to_pandas()
+        users = pq.read_table(
+            f"{sf}/events.parquet", columns=["user_id"]
+        ).column("user_id").to_numpy(zero_copy_only=False)
+        ids, counts = np.unique(users.astype(np.int64), return_counts=True)
+        table = cms_accumulate(np.zeros((4, 4096), np.int64), ids, counts)
+        est = cms_query(table, ids)
+        order = np.lexsort((ids, -est))[:10]
+        assert list(df["user_id"]) == ids[order].tolist()
+        assert list(df["n_est"]) == est[order].tolist()
 
 class TestDDSketch:
     ALPHA = 0.01
