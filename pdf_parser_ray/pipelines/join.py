@@ -9,12 +9,15 @@
   driver-side dict (the round-1 ``orders_by_nation`` built a
   customer-sized dict on the driver — VERDICT r01 'What's wrong' #6).
 
-Every multi-input exchange here and in relational.py goes through
-:func:`co_group`, the one co-shuffle primitive.  Inner-join semantics:
-fact rows without a dim match are dropped.  Partitioning assumption:
-one bucket's rows fit in a group (keys are hashed into
-``_DEFAULT_BUCKETS`` buckets, so only a single pathological hot key can
-skew a bucket).
+Every multi-input exchange here and in relational.py, and every keyed
+or final-combine exchange in relational.py, goes through
+:func:`co_group`, the one co-shuffle primitive: a keyed side is hashed
+into ``_DEFAULT_BUCKETS`` groups, a side keyed ``None`` is one group
+(the final combine runs once), and a bucket with no rows on any side
+never reaches the group function.  Inner-join semantics: fact rows
+without a dim match are dropped.  Partitioning assumption: one
+bucket's rows fit in a group (keys are hashed, so only a single
+pathological hot key can skew a bucket).
 """
 
 from __future__ import annotations
@@ -66,13 +69,19 @@ def broadcast_lookup(
     return fact.map_batches(probe, batch_format="pyarrow", zero_copy_batch=True)
 
 
-def co_group(fn, **sides: "tuple[rd.Dataset, str]") -> rd.Dataset:
+def co_group(fn, **sides: "tuple[rd.Dataset, str | None]") -> rd.Dataset:
     """Co-shuffle several datasets on an integer key and call
     ``fn(**{name: frame})`` once per bucket, one pandas DataFrame per
     side; ``fn``'s DataFrame or ``pa.Table`` goes through
     :func:`arrow_udf`.  ``sides`` maps a name to ``(dataset, key
     column)``; a row lands in bucket ``_key_bucket(key, 64)`` on every
-    side, so one key value lives wholly in one bucket.
+    side, so one key value lives wholly in one bucket.  A side keyed
+    ``None`` is keyless: all its rows form one group and ``fn`` runs
+    once over the whole input (the final combine of per-bucket
+    partials).  Keyless and keyed sides cannot be mixed.  ``fn`` is
+    never called for a bucket in which every side is empty, as Ray's
+    groupby never forms an empty group, so an input with no rows
+    yields no rows.
 
     Each side batch (``_TAG_BATCH_ROWS`` rows, tiny blocks bundled) is
     sorted by bucket and shipped as one Arrow IPC payload per bucket
@@ -87,14 +96,22 @@ def co_group(fn, **sides: "tuple[rd.Dataset, str]") -> rd.Dataset:
     no rows anywhere carries no schema and arrives as ``pd.DataFrame()``.
     """
     names = list(sides)
+    keys = [key for _, key in sides.values()]
+    if None in keys and any(k is not None for k in keys):
+        raise ValueError("co_group sides must be all keyed or all keyless")
+    buckets = 1 if None in keys else _DEFAULT_BUCKETS
 
-    def payloads(side: int, key: str):
+    def payloads(side: int, key: "str | None"):
         def rows(batch: pa.Table) -> pa.Table:
-            k = batch.column(key).to_numpy(zero_copy_only=False).astype(np.int64)
-            b = _key_bucket(k, _DEFAULT_BUCKETS)
-            order = np.argsort(b, kind="stable")
-            t = batch.replace_schema_metadata(None).take(pa.array(order))
-            cuts = np.searchsorted(b[order], np.arange(_DEFAULT_BUCKETS + 1))
+            t = batch.replace_schema_metadata(None)
+            if key is None:
+                cuts = np.array([0, t.num_rows])
+            else:
+                k = t.column(key).to_numpy(zero_copy_only=False).astype(np.int64)
+                b = _key_bucket(k, buckets)
+                order = np.argsort(b, kind="stable")
+                t = t.take(pa.array(order))
+                cuts = np.searchsorted(b[order], np.arange(buckets + 1))
             blobs = []
             for lo, hi in zip(cuts[:-1], cuts[1:]):
                 sink = pa.BufferOutputStream()
@@ -103,8 +120,8 @@ def co_group(fn, **sides: "tuple[rd.Dataset, str]") -> rd.Dataset:
                 blobs.append(sink.getvalue().to_pybytes())
             return pa.table(
                 {
-                    "__bkt": pa.array(np.arange(_DEFAULT_BUCKETS, dtype=np.int32)),
-                    "__side": pa.array(np.full(_DEFAULT_BUCKETS, side, np.int8)),
+                    "__bkt": pa.array(np.arange(buckets, dtype=np.int32)),
+                    "__side": pa.array(np.full(buckets, side, np.int8)),
                     "__rows": pa.array(blobs, pa.large_binary()),
                 }
             )
@@ -116,6 +133,8 @@ def co_group(fn, **sides: "tuple[rd.Dataset, str]") -> rd.Dataset:
         for rb in g.select(["__side", "__rows"]).to_batches():
             for side, blob in zip(rb.column(0).to_pylist(), rb.column(1)):
                 parts[side].append(pa.ipc.open_stream(blob.as_buffer()).read_all())
+        if not any(t.num_rows for p in parts for t in p):
+            return pa.table({})
         return fn(
             **{
                 name: pa.concat_tables(p, promote_options="default").to_pandas()

@@ -253,25 +253,18 @@ def orders_filtered(sf_dir: str, min_price: float = 150_000.0) -> rd.Dataset:
 
 
 def sessionize_events(sf_dir: str, gap_minutes: int = 30) -> rd.Dataset:
-    """(user_id, n_sessions, n_events): session windows per user.  The
-    shuffle key is a *coarse* user bucket (hash % K) so one Python group
-    call handles thousands of users — inside, a vectorized sort +
-    diff-over-boundaries computes every user's session count at once.
-    Partitioning assumption: one user's events fit in one coarse group
-    (true for user-keyed event data)."""
+    """(user_id, n_sessions, n_events): session windows per user.  One
+    user-keyed :func:`co_group` so one Python group call handles
+    thousands of users — inside, a vectorized sort + diff-over-boundaries
+    computes every user's session count at once.  Partitioning
+    assumption: one user's events fit in one group (true for user-keyed
+    event data)."""
     import pandas as pd
 
     gap = np.timedelta64(gap_minutes * 60, "s")
-    coarse_buckets = 256
 
-    def add_coarse(batch: pa.Table) -> pa.Table:
-        u = batch.column("user_id").to_numpy(zero_copy_only=False)
-        return batch.append_column(
-            "coarse", pa.array((u % coarse_buckets).astype(np.int32))
-        )
-
-    def sessions(g: pd.DataFrame) -> pd.DataFrame:
-        df = g.sort_values(["user_id", "ts"])
+    def sessions(ev: pd.DataFrame) -> pd.DataFrame:
+        df = ev.sort_values(["user_id", "ts"])
         users = df["user_id"].to_numpy()
         ts = df["ts"].to_numpy()
         same_user = users[1:] == users[:-1]
@@ -290,12 +283,7 @@ def sessionize_events(sf_dir: str, gap_minutes: int = 30) -> rd.Dataset:
             }
         )
 
-    return (
-        _t(sf_dir, "events", ["user_id", "ts"])
-        .map_batches(add_coarse, batch_format="pyarrow", zero_copy_batch=True)
-        .groupby("coarse")
-        .map_groups(arrow_udf(sessions), batch_format="pandas")
-    )
+    return co_group(sessions, ev=(_t(sf_dir, "events", ["user_id", "ts"]), "user_id"))
 
 
 def events_hourly_delta(sf_dir: str) -> rd.Dataset:
@@ -352,16 +340,15 @@ def cohort_retention(sf_dir: str) -> rd.Dataset:
     the earliest event), each cell counting DISTINCT users from that
     cohort active again ``offset_day`` days later.
 
-    Scale shape: one narrow (user_id, day) co-shuffle on a coarse user
-    bucket — a user's full history lands in one group, so the group
-    computes the user's cohort AND its distinct (cohort, offset) cells
-    locally; per-group partial cell counts are exact because users
-    never straddle groups, and the final cell-sum exchange carries at
-    most days² tiny rows.  The ts column is reduced to an int64 epoch
-    day inside the first map — timestamps never shuffle."""
+    Scale shape: one narrow (user_id, day) user-keyed :func:`co_group`
+    — a user's full history lands in one group, so the group computes
+    the user's cohort AND its distinct (cohort, offset) cells locally;
+    per-group partial cell counts are exact because users never
+    straddle groups, and the final cell-sum exchange carries at most
+    days² tiny rows.  The ts column is reduced to an int64 epoch day
+    inside the first map — timestamps never shuffle."""
     import pandas as pd
 
-    coarse_buckets = 256
     day_us = 86_400_000_000
 
     def narrow(batch: pa.Table) -> pa.Table:
@@ -371,16 +358,13 @@ def cohort_retention(sf_dir: str) -> rd.Dataset:
         df = pd.DataFrame({"user_id": u, "day": day}).drop_duplicates()
         return pa.table(
             {
-                "coarse": pa.array(
-                    (df["user_id"].to_numpy() % coarse_buckets).astype(np.int32)
-                ),
                 "user_id": pa.array(df["user_id"].to_numpy().astype(np.int64)),
                 "day": pa.array(df["day"].to_numpy().astype(np.int64)),
             }
         )
 
-    def cells(g: pd.DataFrame) -> pd.DataFrame:
-        df = g.drop_duplicates(["user_id", "day"])
+    def cells(days: pd.DataFrame) -> pd.DataFrame:
+        df = days.drop_duplicates(["user_id", "day"])
         cohort = df.groupby("user_id")["day"].transform("min")
         # rows are already one-per-(cell, user): df is distinct on
         # (user_id, day) and cohort/offset are functions of those
@@ -397,11 +381,11 @@ def cohort_retention(sf_dir: str) -> rd.Dataset:
         )
         return out.astype(np.int64)
 
+    days = _t(sf_dir, "events", ["user_id", "ts"]).map_batches(
+        narrow, batch_format="pyarrow", zero_copy_batch=True
+    )
     return (
-        _t(sf_dir, "events", ["user_id", "ts"])
-        .map_batches(narrow, batch_format="pyarrow", zero_copy_batch=True)
-        .groupby("coarse")
-        .map_groups(arrow_udf(cells), batch_format="pandas")
+        co_group(cells, days=(days, "user_id"))
         .groupby(["cohort_day", "offset_day"])
         .aggregate(Sum("n", alias_name="n_users"))
     )
@@ -719,8 +703,6 @@ def range_join_events(sf_dir: str, window_s: int = 600) -> rd.Dataset:
         )
 
     def final_sum(parts: pd.DataFrame) -> pd.DataFrame:
-        if parts.empty:
-            return pd.DataFrame()
         return parts.groupby("window_id", as_index=False).sum().astype(np.int64)
 
     ev = _t(sf_dir, "events", ["event_id", "ts", "event_type", "value"])
@@ -1079,6 +1061,20 @@ def incremental_events_hourly(sf_dir: str) -> rd.Dataset:
     )
 
 
+def _event_cents(sf_dir: str) -> rd.Dataset:
+    """Events as narrow (event_id, user_id, ts, cents) rows — the value
+    column as integer cents — for the per-user ordered-series
+    operators."""
+
+    def to_cents(batch: pa.Table) -> pa.Table:
+        cents = _cents(batch.column("value"))
+        return batch.drop_columns(["value"]).append_column("cents", cents)
+
+    return _t(sf_dir, "events", ["event_id", "user_id", "ts", "value"]).map_batches(
+        to_cents, batch_format="pyarrow", zero_copy_batch=True
+    )
+
+
 def user_running_totals(sf_dir: str) -> rd.Dataset:
     """(event_id, user_id, run_n, run_cents): per-user RUNNING count and
     cumulative value over the event stream ordered by (ts, event_id) —
@@ -1086,31 +1082,14 @@ def user_running_totals(sf_dir: str) -> rd.Dataset:
     windows above report per-window rows; this one carries state down
     an ordered partition).
 
-    Scale shape: one coarse user-bucket co-shuffle (the sessionize
+    Scale shape: one user-keyed :func:`co_group` (the sessionize
     pattern), then a vectorized pandas sort + grouped cumsum inside
     each group handles thousands of users at once.  Partitioning
-    assumption: one user's events fit in a coarse group."""
+    assumption: one user's events fit in a group."""
     import pandas as pd
 
-    coarse_buckets = 256
-
-    def add_coarse(batch: pa.Table) -> pa.Table:
-        u = batch.column("user_id").to_numpy(zero_copy_only=False)
-        cents = pc.cast(
-            pc.round(pc.multiply(batch.column("value"), 100.0)), pa.int64()
-        )
-        return pa.table(
-            {
-                "coarse": pa.array((u % coarse_buckets).astype(np.int32)),
-                "event_id": batch.column("event_id"),
-                "user_id": batch.column("user_id"),
-                "ts": batch.column("ts"),
-                "cents": cents,
-            }
-        )
-
-    def running(g: pd.DataFrame) -> pd.DataFrame:
-        df = g.sort_values(["user_id", "ts", "event_id"])
+    def running(ev: pd.DataFrame) -> pd.DataFrame:
+        df = ev.sort_values(["user_id", "ts", "event_id"])
         grp = df.groupby("user_id", sort=False)
         return pd.DataFrame(
             {
@@ -1121,12 +1100,7 @@ def user_running_totals(sf_dir: str) -> rd.Dataset:
             }
         )
 
-    return (
-        _t(sf_dir, "events", ["event_id", "user_id", "ts", "value"])
-        .map_batches(add_coarse, batch_format="pyarrow", zero_copy_batch=True)
-        .groupby("coarse")
-        .map_groups(arrow_udf(running), batch_format="pandas")
-    )
+    return co_group(running, ev=(_event_cents(sf_dir), "user_id"))
 
 
 # -- sequential conversion funnel over the event stream ----------------------
@@ -1148,8 +1122,8 @@ def event_funnel(
     anchors on the MIN qualifying timestamp (first-touch attribution).
 
     Scale shape: one narrow pass drops non-step events and widens ts to
-    int64 micros in-batch; ONE co-shuffle on hash(user) colocates each
-    user's step events, and the per-bucket pandas cascade (three
+    int64 micros in-batch; ONE user-keyed :func:`co_group` colocates
+    each user's step events, and the per-bucket pandas cascade (three
     merge+filter+groupby-min hops over only that bucket's users) emits
     3 partial count rows per bucket; a 3-key combine folds them.
     Nothing corpus-sized reaches the driver; the window cascade never
@@ -1161,7 +1135,6 @@ def event_funnel(
 
     win_us = window_min * 60_000_000
     step_of = {s: i for i, s in enumerate(FUNNEL_STEPS)}
-    buckets = 64
 
     def narrow(batch: pa.Table) -> pa.Table:
         mask = pc.is_in(
@@ -1169,24 +1142,22 @@ def event_funnel(
             value_set=pa.array(FUNNEL_STEPS, pa.string()),
         )
         t = batch.filter(mask)
-        uid = t.column("user_id").to_numpy(zero_copy_only=False)
         si = np.array(
             [step_of[s] for s in t.column("event_type").to_pylist()], np.int8
         )
         return pa.table(
             {
-                "bkt": pa.array((uid % buckets).astype(np.int32)),
                 "user_id": t.column("user_id"),
                 "si": pa.array(si),
                 "tm": pc.cast(t.column("ts"), pa.int64()),
             }
         )
 
-    def cascade(g: pd.DataFrame) -> pd.DataFrame:
-        t_prev = g.loc[g["si"] == 0].groupby("user_id")["tm"].min()
+    def cascade(steps: pd.DataFrame) -> pd.DataFrame:
+        t_prev = steps.loc[steps["si"] == 0].groupby("user_id")["tm"].min()
         counts = [len(t_prev)]
         for si in range(1, len(FUNNEL_STEPS)):
-            e = g.loc[g["si"] == si].merge(
+            e = steps.loc[steps["si"] == si].merge(
                 t_prev.rename("tp"), left_on="user_id", right_index=True
             )
             # an empty merge names the output index 'user_id', making
@@ -1212,11 +1183,11 @@ def event_funnel(
             }
         )
 
+    steps = _t(sf_dir, "events", ["user_id", "ts", "event_type"]).map_batches(
+        narrow, batch_format="pyarrow", zero_copy_batch=True
+    )
     return (
-        _t(sf_dir, "events", ["user_id", "ts", "event_type"])
-        .map_batches(narrow, batch_format="pyarrow", zero_copy_batch=True)
-        .groupby("bkt")
-        .map_groups(arrow_udf(cascade), batch_format="pandas")
+        co_group(cascade, steps=(steps, "user_id"))
         .groupby("step_idx")
         .map_groups(arrow_udf(combine), batch_format="pandas")
     )
@@ -1392,60 +1363,43 @@ def part_affinity(sf_dir: str, k: int = PART_AFFINITY_K) -> rd.Dataset:
     broken by (part_a, part_b) ascending — a deterministic total
     order, so the cut is oracle-stable.
 
-    Scale shape: two bounded exchanges.  (1) narrow (orderkey, partkey)
-    rows co-shuffle on orderkey so each order's basket is bucket-local;
-    the bucket dedupes line repeats and self-merges per order — pair
-    fan-out is Σ|basket|², bounded by TPC-H's ≤7 lines/order, never
-    corpus². (2) pair-count partials co-shuffle on hash(pair) for exact
-    totals, each pair bucket keeps only its LOCAL top-k (a global
-    top-k row always wins its own bucket), and a constant-key combine
-    picks the final k from ≤ buckets·k candidates."""
+    Scale shape: three :func:`co_group` exchanges.  (1) narrow
+    (orderkey, partkey) rows group on orderkey so each order's basket
+    is group-local; the group dedupes line repeats and self-merges per
+    order — pair fan-out is Σ|basket|², bounded by TPC-H's ≤7
+    lines/order, never corpus². (2) pair-count partials group on one
+    int64 pair key for exact totals, each group keeps only its LOCAL
+    top-k (a global top-k row always wins its own group), and (3) a
+    keyless combine picks the final k from ≤ 64·k candidates."""
     import numpy as np
     import pandas as pd
 
-    from .io_util import arrow_udf
-
-    buckets = 64
-
-    def narrow(batch: pa.Table) -> pa.Table:
-        okey = batch.column("l_orderkey").to_numpy(zero_copy_only=False)
-        return pa.table(
-            {
-                "bkt": pa.array((okey % buckets).astype(np.int32)),
-                "okey": batch.column("l_orderkey"),
-                "pkey": batch.column("l_partkey"),
-            }
-        )
-
-    def pair_partials(g: pd.DataFrame) -> pd.DataFrame:
-        d = g.drop_duplicates(["okey", "pkey"])
-        m = d.merge(d, on="okey")
-        m = m[m["pkey_x"] < m["pkey_y"]]
-        p = m.groupby(["pkey_x", "pkey_y"], as_index=False).size()
+    def pair_partials(li: pd.DataFrame) -> pd.DataFrame:
+        d = li.drop_duplicates(["l_orderkey", "l_partkey"])
+        m = d.merge(d, on="l_orderkey")
+        m = m[m["l_partkey_x"] < m["l_partkey_y"]]
+        p = m.groupby(["l_partkey_x", "l_partkey_y"], as_index=False).size()
+        a = p["l_partkey_x"].to_numpy(np.int64)
+        b = p["l_partkey_y"].to_numpy(np.int64)
         return pd.DataFrame(
             {
-                "pbkt": (
-                    (p["pkey_x"].to_numpy(np.int64) * 1_000_003
-                     + p["pkey_y"].to_numpy(np.int64)) % buckets
-                ).astype(np.int32),
-                "part_a": p["pkey_x"].to_numpy(np.int64),
-                "part_b": p["pkey_y"].to_numpy(np.int64),
+                "pair": a * 1_000_003 + b,
+                "part_a": a,
+                "part_b": b,
                 "n_orders": p["size"].to_numpy(np.int64),
             }
         )
 
-    def local_topk(g: pd.DataFrame) -> pd.DataFrame:
-        t = g.groupby(["part_a", "part_b"], as_index=False)["n_orders"].sum()
-        t = t.sort_values(
+    def local_topk(pairs: pd.DataFrame) -> pd.DataFrame:
+        t = pairs.groupby(["part_a", "part_b"], as_index=False)["n_orders"].sum()
+        return t.sort_values(
             ["n_orders", "part_a", "part_b"],
             ascending=[False, True, True],
             kind="stable",
         ).head(k)
-        t.insert(0, "fin", np.zeros(len(t), np.int8))
-        return t
 
-    def final_topk(g: pd.DataFrame) -> pd.DataFrame:
-        t = g.sort_values(
+    def final_topk(top: pd.DataFrame) -> pd.DataFrame:
+        t = top.sort_values(
             ["n_orders", "part_a", "part_b"],
             ascending=[False, True, True],
             kind="stable",
@@ -1453,16 +1407,10 @@ def part_affinity(sf_dir: str, k: int = PART_AFFINITY_K) -> rd.Dataset:
         out = t[["part_a", "part_b", "n_orders"]].reset_index(drop=True)
         return out.astype(np.int64)
 
-    return (
-        _t(sf_dir, "lineitem", ["l_orderkey", "l_partkey"])
-        .map_batches(narrow, batch_format="pyarrow", zero_copy_batch=True)
-        .groupby("bkt")
-        .map_groups(arrow_udf(pair_partials), batch_format="pandas")
-        .groupby("pbkt")
-        .map_groups(arrow_udf(local_topk), batch_format="pandas")
-        .groupby("fin")
-        .map_groups(arrow_udf(final_topk), batch_format="pandas")
-    )
+    li = _t(sf_dir, "lineitem", ["l_orderkey", "l_partkey"])
+    pairs = co_group(pair_partials, li=(li, "l_orderkey"))
+    top = co_group(local_topk, pairs=(pairs, "pair"))
+    return co_group(final_topk, top=(top, None))
 
 
 # -- large orders (TPC-H Q18 shape: big-basket customers) ----------------------
@@ -1546,10 +1494,10 @@ def customer_order_histogram(sf_dir: str):
     zero-order bin (LEFT JOIN semantics).
 
     Scale shape: orders fold to per-batch (custkey, count) Arrow
-    partials; ONE co-shuffle on custkey % K makes per-customer totals
-    exact (a custkey lives wholly in its bucket) and each bucket
+    partials; ONE custkey :func:`co_group` makes per-customer totals
+    exact (a custkey lives wholly in its group) and each group
     collapses immediately to its LOCAL histogram — the driver sees only
-    ≤ buckets × distinct-count narrow rows (distinct order counts per
+    ≤ 64 × distinct-count narrow rows (distinct order counts per
     customer are data-bounded small integers, ~dozens at any corpus
     size), plus one customer-count scalar fold.  The zero bin is
     total-customers − customers-with-orders; it is appended only when
@@ -1557,25 +1505,21 @@ def customer_order_histogram(sf_dir: str):
     group when every customer ordered)."""
     import pandas as pd
 
-    buckets = 64
-
     def ord_partials(batch: pa.Table) -> pa.Table:
         g = (
             pa.table({"k": batch.column("o_custkey")})
             .group_by(["k"])
             .aggregate([("k", "count")])
         )
-        k = g.column("k").to_numpy(zero_copy_only=False)
         return pa.table(
             {
-                "bkt": pa.array((k % buckets).astype(np.int32)),
-                "k": pa.array(k, pa.int64()),
+                "k": pc.cast(g.column("k"), pa.int64()),
                 "n": pc.cast(g.column("k_count"), pa.int64()),
             }
         )
 
-    def bucket_hist(g: pd.DataFrame) -> pd.DataFrame:
-        per_cust = g.groupby("k")["n"].sum()
+    def bucket_hist(counts: pd.DataFrame) -> pd.DataFrame:
+        per_cust = counts.groupby("k")["n"].sum()
         h = per_cust.value_counts()
         return pd.DataFrame(
             {
@@ -1584,13 +1528,10 @@ def customer_order_histogram(sf_dir: str):
             }
         )
 
-    parts = (
-        _t(sf_dir, "orders", ["o_custkey"])
-        .map_batches(ord_partials, batch_format="pyarrow", zero_copy_batch=True)
-        .groupby("bkt")
-        .map_groups(arrow_udf(bucket_hist), batch_format="pandas")
-        .to_pandas()
+    counts = _t(sf_dir, "orders", ["o_custkey"]).map_batches(
+        ord_partials, batch_format="pyarrow", zero_copy_batch=True
     )
+    parts = co_group(bucket_hist, counts=(counts, "k")).to_pandas()
     hist = (
         parts.groupby("n_orders", as_index=False)["n_customers"]
         .sum()
@@ -1713,36 +1654,22 @@ def event_transitions(sf_dir: str) -> rd.Dataset:
     tie-break makes the order (and so the oracle) deterministic when a
     user has two events in the same microsecond.
 
-    Scale shape: one hash(user) co-shuffle of narrow (user, ts, id,
-    type) rows; each bucket sorts its users vectorized (one lexsort per
-    bucket, not per user), masks user boundaries, and collapses to
+    Scale shape: one user-keyed :func:`co_group` of narrow (user, ts,
+    id, type) rows; each group sorts its users vectorized (one lexsort
+    per group, not per user), masks user boundaries, and collapses to
     ≤ types² pair partials; a final pair-keyed combine over
-    buckets × types² rows.  Event types are a small closed set, so both
+    64 × types² rows.  Event types are a small closed set, so both
     exchanges are tiny; the events table itself shuffles once as
     4-column narrow rows."""
     import pandas as pd
 
-    buckets = 64
-
-    def narrow(batch: pa.Table) -> pa.Table:
-        u = batch.column("user_id").to_numpy(zero_copy_only=False)
-        return pa.table(
-            {
-                "bkt": pa.array((u % buckets).astype(np.int32)),
-                "u": pa.array(u, pa.int64()),
-                "tm": pc.cast(batch.column("ts"), pa.int64()),
-                "eid": batch.column("event_id"),
-                "event_type": batch.column("event_type"),
-            }
-        )
-
-    def pair_partials(g: pd.DataFrame) -> pd.DataFrame:
+    def pair_partials(ev: pd.DataFrame) -> pd.DataFrame:
+        u = ev["user_id"].to_numpy(np.int64)
         order = np.lexsort(
-            (g["eid"].to_numpy(np.int64), g["tm"].to_numpy(np.int64),
-             g["u"].to_numpy(np.int64))
+            (ev["event_id"].to_numpy(np.int64), ev["ts"].to_numpy(), u)
         )
-        u = g["u"].to_numpy(np.int64)[order]
-        t = g["event_type"].to_numpy()[order]
+        u = u[order]
+        t = ev["event_type"].to_numpy()[order]
         same = u[:-1] == u[1:]
         df = pd.DataFrame(
             {"prev_type": t[:-1][same], "next_type": t[1:][same]}
@@ -1765,11 +1692,9 @@ def event_transitions(sf_dir: str) -> rd.Dataset:
             }
         )
 
+    ev = _t(sf_dir, "events", ["user_id", "ts", "event_id", "event_type"])
     return (
-        _t(sf_dir, "events", ["user_id", "ts", "event_id", "event_type"])
-        .map_batches(narrow, batch_format="pyarrow", zero_copy_batch=True)
-        .groupby("bkt")
-        .map_groups(arrow_udf(pair_partials), batch_format="pandas")
+        co_group(pair_partials, ev=(ev, "user_id"))
         .groupby(["prev_type", "next_type"])
         .map_groups(arrow_udf(combine), batch_format="pandas")
     )
@@ -1792,8 +1717,8 @@ def returned_items(sf_dir: str, k: int = RETURNED_TOP_K) -> rd.Dataset:
     exact per-customer totals + name), both carrying narrow integer
     partials.  Each custkey bucket keeps only its LOCAL top-k (a global
     winner always wins its own bucket), the 25-row nation map composes
-    in as a broadcast dict, and a constant-key combine cuts the final k
-    from ≤ buckets·k candidates."""
+    in as a broadcast dict, and a keyless :func:`co_group` cuts the
+    final k from ≤ 64·k candidates."""
     import pandas as pd
 
     nation = _small_table_dict(sf_dir, "nation", "n_nationkey", "n_name")
@@ -1823,7 +1748,6 @@ def returned_items(sf_dir: str, k: int = RETURNED_TOP_K) -> rd.Dataset:
         m = tot.merge(cust, left_on="o_custkey", right_on="c_custkey")
         return pa.table(
             {
-                "fin": pa.array(np.zeros(len(m), np.int8)),
                 "c_custkey": pa.array(m["c_custkey"].to_numpy(np.int64)),
                 "c_name": pa.array(m["c_name"], pa.string()),
                 "n_name": pa.array(
@@ -1834,8 +1758,8 @@ def returned_items(sf_dir: str, k: int = RETURNED_TOP_K) -> rd.Dataset:
             }
         )
 
-    def final_topk(g: pd.DataFrame) -> pd.DataFrame:
-        t = g.sort_values(
+    def final_topk(top: pd.DataFrame) -> pd.DataFrame:
+        t = top.sort_values(
             ["revenue_cc", "c_custkey"], ascending=[False, True], kind="stable"
         ).head(k)
         return t[["c_custkey", "c_name", "n_name", "revenue_cc"]].reset_index(
@@ -1852,11 +1776,8 @@ def returned_items(sf_dir: str, k: int = RETURNED_TOP_K) -> rd.Dataset:
         orders=(_t(sf_dir, "orders", ["o_orderkey", "o_custkey"]), "o_orderkey"),
     )
     cust = _t(sf_dir, "customer", ["c_custkey", "c_name", "c_nationkey"])
-    return (
-        co_group(local_topk, rev=(rev, "o_custkey"), cust=(cust, "c_custkey"))
-        .groupby("fin")
-        .map_groups(arrow_udf(final_topk), batch_format="pandas")
-    )
+    top = co_group(local_topk, rev=(rev, "o_custkey"), cust=(cust, "c_custkey"))
+    return co_group(final_topk, top=(top, None))
 
 
 # -- order priority counts with a late-ship EXISTS gate (TPC-H Q4 shape) -------
@@ -2097,13 +2018,13 @@ def events_dau_wau(sf_dir: str) -> rd.Dataset:
     pairs; the WAU window is a 7× fan-out of those narrow 16-byte rows
     (each pair votes for the 7 window-days it supports, clipped to
     days that actually exist so phantom tail days never appear); one
-    (window-day, user)-bucketed exchange dedups votes exactly and
-    emits per-day partials, and a day-keyed combine computes the
+    user-keyed :func:`co_group` dedups (window-day, user) votes exactly
+    (a pair lives wholly in its user's group) and emits per-day
+    partials, and a day-keyed combine computes the
     ratio in Python ints.  The raw event stream never shuffles."""
     import pandas as pd
     import ray
 
-    buckets = 64
     day_us = 86_400_000_000
 
     # pass 1: the distinct day domain (bounded: days, not events)
@@ -2137,19 +2058,16 @@ def events_dau_wau(sf_dir: str) -> rd.Dataset:
             out_w.append(w[keep])
             out_u.append(uu[keep])
             out_own.append(np.full(keep.sum(), 1 if off == 0 else 0, np.int8))
-        w = np.concatenate(out_w)
-        u2 = np.concatenate(out_u)
         return pa.table(
             {
-                "bkt": pa.array(((w * 1_000_003 + u2) % buckets).astype(np.int32)),
-                "w": pa.array(w, pa.int64()),
-                "u": pa.array(u2, pa.int64()),
+                "w": pa.array(np.concatenate(out_w), pa.int64()),
+                "u": pa.array(np.concatenate(out_u), pa.int64()),
                 "own": pa.array(np.concatenate(out_own)),
             }
         )
 
-    def bucket_counts(g: pd.DataFrame) -> pd.DataFrame:
-        agg = g.groupby(["w", "u"], as_index=False)["own"].max()
+    def bucket_counts(votes: pd.DataFrame) -> pd.DataFrame:
+        agg = votes.groupby(["w", "u"], as_index=False)["own"].max()
         out = agg.groupby("w", as_index=False).agg(
             wau=("u", "size"), dau=("own", "sum")
         )
@@ -2175,11 +2093,11 @@ def events_dau_wau(sf_dir: str) -> rd.Dataset:
             }
         )
 
+    votes = _t(sf_dir, "events", ["ts", "user_id"]).map_batches(
+        vote_rows, batch_format="pyarrow", zero_copy_batch=True
+    )
     return (
-        _t(sf_dir, "events", ["ts", "user_id"])
-        .map_batches(vote_rows, batch_format="pyarrow", zero_copy_batch=True)
-        .groupby("bkt")
-        .map_groups(arrow_udf(bucket_counts), batch_format="pandas")
+        co_group(bucket_counts, votes=(votes, "u"))
         .groupby("w")
         .map_groups(arrow_udf(day_combine), batch_format="pandas")
     )
@@ -2195,11 +2113,10 @@ def user_lifetimes(sf_dir: str) -> rd.Dataset:
 
     Scale shape: each batch collapses to per-(user, day) partial counts
     (Arrow group_by — the exchange carries user×day cardinality, never
-    events); one user-bucketed co-shuffle makes distinct-day counts and
-    min/max exact (a user lives wholly in its bucket)."""
+    events); one user-keyed :func:`co_group` makes distinct-day counts
+    and min/max exact (a user lives wholly in its group)."""
     import pandas as pd
 
-    buckets = 64
     day_us = 86_400_000_000
 
     def partials(batch: pa.Table) -> pa.Table:
@@ -2211,18 +2128,16 @@ def user_lifetimes(sf_dir: str) -> rd.Dataset:
             .group_by(["u", "d"])
             .aggregate([("d", "count")])
         )
-        u = g.column("u").to_numpy(zero_copy_only=False)
         return pa.table(
             {
-                "bkt": pa.array((u % buckets).astype(np.int32)),
-                "u": pa.array(u, pa.int64()),
+                "u": pc.cast(g.column("u"), pa.int64()),
                 "d": g.column("d"),
                 "n": pc.cast(g.column("d_count"), pa.int64()),
             }
         )
 
-    def fold(g: pd.DataFrame) -> pd.DataFrame:
-        out = g.groupby("u").agg(
+    def fold(days: pd.DataFrame) -> pd.DataFrame:
+        out = days.groupby("u").agg(
             first_day=("d", "min"),
             last_day=("d", "max"),
             active_days=("d", "nunique"),
@@ -2238,12 +2153,10 @@ def user_lifetimes(sf_dir: str) -> rd.Dataset:
             }
         )
 
-    return (
-        _t(sf_dir, "events", ["user_id", "ts"])
-        .map_batches(partials, batch_format="pyarrow", zero_copy_batch=True)
-        .groupby("bkt")
-        .map_groups(arrow_udf(fold), batch_format="pandas")
+    days = _t(sf_dir, "events", ["user_id", "ts"]).map_batches(
+        partials, batch_format="pyarrow", zero_copy_batch=True
     )
+    return co_group(fold, days=(days, "u"))
 
 
 # -- TPC-H Q3: shipping priority (top unshipped orders by revenue) ---------------
@@ -2272,8 +2185,8 @@ def shipping_priority(
     anything moves; two :func:`co_group` exchanges (orderkey → attach
     custkey+orderdate, custkey → segment semi-join) carry narrow
     integer partials; each custkey bucket keeps only its LOCAL top-k (a
-    global winner always wins its own bucket) so the final constant-key
-    combine sees ≤ buckets·k candidate rows."""
+    global winner always wins its own bucket) so the final keyless
+    :func:`co_group` sees ≤ 64·k candidate rows."""
     import pandas as pd
 
     cut = pa.scalar(_epoch_us(cutoff), pa.int64())
@@ -2319,15 +2232,14 @@ def shipping_priority(
         ).head(k)
         return pa.table(
             {
-                "fin": pa.array(np.zeros(len(t), np.int8)),
                 "o_orderkey": pa.array(t["o_orderkey"].to_numpy(np.int64)),
                 "revenue_cc": pa.array(t["rev"].to_numpy(np.int64)),
                 "o_orderdate_us": pa.array(t["o_orderdate_us"].to_numpy(np.int64)),
             }
         )
 
-    def final_topk(g: pd.DataFrame) -> pd.DataFrame:
-        t = g.sort_values(
+    def final_topk(top: pd.DataFrame) -> pd.DataFrame:
+        t = top.sort_values(
             ["revenue_cc", "o_orderkey"], ascending=[False, True], kind="stable"
         ).head(k)
         return t[["o_orderkey", "revenue_cc", "o_orderdate_us"]].reset_index(
@@ -2345,11 +2257,8 @@ def shipping_priority(
         segment_keys, batch_format="pyarrow", zero_copy_batch=True
     )
     rev = co_group(attach_order, li=(li, "l_orderkey"), orders=(ords, "o_orderkey"))
-    return (
-        co_group(local_topk, orders=(rev, "o_custkey"), cust=(cust, "c_custkey"))
-        .groupby("fin")
-        .map_groups(arrow_udf(final_topk), batch_format="pandas")
-    )
+    top = co_group(local_topk, orders=(rev, "o_custkey"), cust=(cust, "c_custkey"))
+    return co_group(final_topk, top=(top, None))
 
 
 # -- TPC-H Q5: local supplier volume (customer and supplier same nation) --------
@@ -2454,10 +2363,8 @@ def discount_band_revenue(sf_dir: str) -> rd.Dataset:
 
     Scale shape: a pure streaming scan-sum — every predicate and the
     per-batch partial run vectorized inside map_batches; the exchange
-    carries exactly one (revenue, n) row per block to a constant-key
-    combine.  No fact-sized anything moves."""
-    import pandas as pd
-
+    carries exactly one (revenue, n) row per block to a keyless
+    :func:`co_group` combine.  No fact-sized anything moves."""
     lo_us, hi_us = _epoch_us(DISCOUNT_DATE_LO), _epoch_us(DISCOUNT_DATE_HI)
 
     def partial(batch: pa.Table) -> pa.Table:
@@ -2484,28 +2391,27 @@ def discount_band_revenue(sf_dir: str) -> rd.Dataset:
         pn = price.to_numpy(zero_copy_only=False)[mask]
         return pa.table(
             {
-                "fin": pa.array([np.int8(0)]),
                 "revenue_cc": pa.array([int((pn * dn[mask]).sum())], pa.int64()),
                 "n_items": pa.array([int(mask.sum())], pa.int64()),
             }
         )
 
-    def combine(g: pd.DataFrame) -> pd.DataFrame:
-        return pd.DataFrame(
-            {
-                "revenue_cc": np.array([g["revenue_cc"].sum()], np.int64),
-                "n_items": np.array([g["n_items"].sum()], np.int64),
-            }
-        )
+    parts = _t(
+        sf_dir, "lineitem",
+        ["l_shipdate", "l_extendedprice", "l_discount", "l_quantity"],
+    ).map_batches(partial, batch_format="pyarrow", zero_copy_batch=True)
+    return co_group(_sum_revenue_items, parts=(parts, None))
 
-    return (
-        _t(
-            sf_dir, "lineitem",
-            ["l_shipdate", "l_extendedprice", "l_discount", "l_quantity"],
-        )
-        .map_batches(partial, batch_format="pyarrow", zero_copy_batch=True)
-        .groupby("fin")
-        .map_groups(arrow_udf(combine), batch_format="pandas")
+
+def _sum_revenue_items(parts: "pd.DataFrame") -> "pd.DataFrame":
+    """Keyless final combine of (revenue_cc, n_items) partial rows."""
+    import pandas as pd
+
+    return pd.DataFrame(
+        {
+            "revenue_cc": np.array([parts["revenue_cc"].sum()], np.int64),
+            "n_items": np.array([parts["n_items"].sum()], np.int64),
+        }
     )
 
 
@@ -2524,8 +2430,8 @@ def top_supplier(sf_dir: str) -> rd.Dataset:
     (suppkey, rev) Arrow partials take ONE suppkey :func:`co_group`
     with the supplier name rows; each bucket computes its suppliers'
     exact totals and forwards only its local maxima (the global max is
-    some bucket's max), so the constant-key combine sees ≤ buckets·ties
-    rows."""
+    some bucket's max), so the keyless :func:`co_group` combine sees
+    ≤ 64·ties rows."""
     import pandas as pd
 
     lo_us, hi_us = _epoch_us(TOP_SUPPLIER_DATE_LO), _epoch_us(TOP_SUPPLIER_DATE_HI)
@@ -2553,15 +2459,16 @@ def top_supplier(sf_dir: str) -> rd.Dataset:
         m = best.merge(supp, left_on="l_suppkey", right_on="s_suppkey")
         return pa.table(
             {
-                "fin": pa.array(np.zeros(len(m), np.int8)),
                 "s_suppkey": pa.array(m["s_suppkey"].to_numpy(np.int64)),
                 "s_name": pa.array(m["s_name"], pa.string()),
                 "revenue_cc": pa.array(m["rev"].to_numpy(np.int64)),
             }
         )
 
-    def global_max(g: pd.DataFrame) -> pd.DataFrame:
-        best = g[g["revenue_cc"] == g["revenue_cc"].max()].sort_values("s_suppkey")
+    def global_max(top: pd.DataFrame) -> pd.DataFrame:
+        best = top[top["revenue_cc"] == top["revenue_cc"].max()].sort_values(
+            "s_suppkey"
+        )
         return best[["s_suppkey", "s_name", "revenue_cc"]].reset_index(drop=True)
 
     li = _t(
@@ -2569,11 +2476,8 @@ def top_supplier(sf_dir: str) -> rd.Dataset:
         ["l_suppkey", "l_shipdate", "l_extendedprice", "l_discount"],
     ).map_batches(li_partials, batch_format="pyarrow", zero_copy_batch=True)
     supp = _t(sf_dir, "supplier", ["s_suppkey", "s_name"])
-    return (
-        co_group(local_max, li=(li, "l_suppkey"), supp=(supp, "s_suppkey"))
-        .groupby("fin")
-        .map_groups(arrow_udf(global_max), batch_format="pandas")
-    )
+    top = co_group(local_max, li=(li, "l_suppkey"), supp=(supp, "s_suppkey"))
+    return co_group(global_max, top=(top, None))
 
 
 # -- TPC-H Q17: small-quantity-order revenue -------------------------------------
@@ -2633,17 +2537,8 @@ def small_qty_revenue(sf_dir: str, brand: str = SMALL_QTY_BRAND) -> rd.Dataset:
             items = bins["n"].to_numpy(np.int64)[gate].sum()
         return pd.DataFrame(
             {
-                "fin": np.zeros(1, np.int8),
                 "revenue_cc": np.array([rev], np.int64),
                 "n_items": np.array([items], np.int64),
-            }
-        )
-
-    def combine(g: pd.DataFrame) -> pd.DataFrame:
-        return pd.DataFrame(
-            {
-                "revenue_cc": np.array([g["revenue_cc"].sum()], np.int64),
-                "n_items": np.array([g["n_items"].sum()], np.int64),
             }
         )
 
@@ -2653,11 +2548,8 @@ def small_qty_revenue(sf_dir: str, brand: str = SMALL_QTY_BRAND) -> rd.Dataset:
     parts = _t(sf_dir, "part", ["p_partkey", "p_brand"]).map_batches(
         brand_keys, batch_format="pyarrow", zero_copy_batch=True
     )
-    return (
-        co_group(fold_gate, li=(li, "l_partkey"), part=(parts, "p_partkey"))
-        .groupby("fin")
-        .map_groups(arrow_udf(combine), batch_format="pandas")
-    )
+    bins = co_group(fold_gate, li=(li, "l_partkey"), part=(parts, "p_partkey"))
+    return co_group(_sum_revenue_items, parts=(bins, None))
 
 
 # -- TPC-H Q19: disjunctive-predicate discounted revenue -------------------------
@@ -2726,17 +2618,8 @@ def disjunctive_revenue(sf_dir: str) -> rd.Dataset:
             items = m["n"].to_numpy(np.int64)[ok].sum()
         return pd.DataFrame(
             {
-                "fin": np.zeros(1, np.int8),
                 "revenue_cc": np.array([rev], np.int64),
                 "n_items": np.array([items], np.int64),
-            }
-        )
-
-    def combine(g: pd.DataFrame) -> pd.DataFrame:
-        return pd.DataFrame(
-            {
-                "revenue_cc": np.array([g["revenue_cc"].sum()], np.int64),
-                "n_items": np.array([g["n_items"].sum()], np.int64),
             }
         )
 
@@ -2747,11 +2630,8 @@ def disjunctive_revenue(sf_dir: str) -> rd.Dataset:
     parts = _t(sf_dir, "part", ["p_partkey", "p_brand", "p_size"]).map_batches(
         part_rows, batch_format="pyarrow", zero_copy_batch=True
     )
-    return (
-        co_group(fold_arms, li=(li, "l_partkey"), part=(parts, "p_partkey"))
-        .groupby("fin")
-        .map_groups(arrow_udf(combine), batch_format="pandas")
-    )
+    bins = co_group(fold_arms, li=(li, "l_partkey"), part=(parts, "p_partkey"))
+    return co_group(_sum_revenue_items, parts=(bins, None))
 
 
 # -- TPC-H Q8: national market share ---------------------------------------------
@@ -2883,49 +2763,32 @@ def inter_event_quantiles(sf_dir: str) -> rd.Dataset:
     the per-user inter-event arrival gap, in whole seconds — the
     load-model signal behind session-gap and rate-limit tuning.
 
-    Scale shape: events co-shuffle once on user buckets (narrow int64
-    rows — the same exchange sessionize_events uses); each bucket
-    sorts its users locally and emits a (gap_s, n) HISTOGRAM partial
-    — flooring gaps to seconds bounds the distinct-value domain, so
-    the quantile is a cumulative-count read like event_quantiles, not
-    a distributed sort."""
+    Scale shape: events :func:`co_group` once on user_id (the same
+    exchange sessionize_events uses); each group sorts its users
+    locally and emits a (gap_s, n) HISTOGRAM partial — flooring gaps to
+    seconds bounds the distinct-value domain, so the quantile is a
+    cumulative-count read like event_quantiles, not a distributed
+    sort."""
     import math
 
     import pandas as pd
 
-    buckets = 64
-
-    def rows(batch: pa.Table) -> pa.Table:
-        u = batch.column("user_id").to_numpy(zero_copy_only=False).astype(np.int64)
-        return pa.table(
-            {
-                "bkt": pa.array((u % buckets).astype(np.int32)),
-                "user_id": pa.array(u),
-                "ts_us": pc.cast(batch.column("ts"), pa.int64()),
-                "event_id": pc.cast(batch.column("event_id"), pa.int64()),
-            }
-        )
-
-    def gap_hist(g: pd.DataFrame) -> pd.DataFrame:
-        g = g.sort_values(["user_id", "ts_us", "event_id"], kind="stable")
-        u = g["user_id"].to_numpy(np.int64)
-        ts = g["ts_us"].to_numpy(np.int64)
+    def gap_hist(ev: pd.DataFrame) -> pd.DataFrame:
+        ev = ev.sort_values(["user_id", "ts", "event_id"], kind="stable")
+        u = ev["user_id"].to_numpy(np.int64)
+        ts = ev["ts"].to_numpy().astype("datetime64[us]").astype(np.int64)
         gap = ts[1:] - ts[:-1]
         same = u[1:] == u[:-1]
         gap_s = gap[same] // 1_000_000
         uniq, counts = np.unique(gap_s, return_counts=True)
         return pd.DataFrame(
-            {
-                "fin": np.zeros(len(uniq), np.int8),
-                "gap_s": uniq.astype(np.int64),
-                "n": counts.astype(np.int64),
-            }
+            {"gap_s": uniq.astype(np.int64), "n": counts.astype(np.int64)}
         )
 
-    def quantiles(g: pd.DataFrame) -> pd.DataFrame:
-        # ≤ buckets × distinct-seconds histogram partials: sum the bins
-        # here instead of paying a separate global aggregate exchange
-        g = g.groupby("gap_s", as_index=False)["n"].sum().sort_values("gap_s")
+    def quantiles(hist: pd.DataFrame) -> pd.DataFrame:
+        # ≤ 64 × distinct-seconds histogram partials: sum the bins here
+        # instead of paying a separate global aggregate exchange
+        g = hist.groupby("gap_s", as_index=False)["n"].sum().sort_values("gap_s")
         cum = g["n"].to_numpy().cumsum()
         total = int(cum[-1])
         vals = g["gap_s"].to_numpy()
@@ -2944,14 +2807,9 @@ def inter_event_quantiles(sf_dir: str) -> rd.Dataset:
             }
         )
 
-    return (
-        _t(sf_dir, "events", ["user_id", "ts", "event_id"])
-        .map_batches(rows, batch_format="pyarrow", zero_copy_batch=True)
-        .groupby("bkt")
-        .map_groups(arrow_udf(gap_hist), batch_format="pandas")
-        .groupby("fin")
-        .map_groups(arrow_udf(quantiles), batch_format="pandas")
-    )
+    ev = _t(sf_dir, "events", ["user_id", "ts", "event_id"])
+    hist = co_group(gap_hist, ev=(ev, "user_id"))
+    return co_group(quantiles, hist=(hist, None))
 
 
 # -- per-user event-type entropy --------------------------------------------------
@@ -2963,12 +2821,10 @@ def user_type_entropy(sf_dir: str) -> rd.Dataset:
     (the word_entropy identity on (user, type) counts); 0 for
     single-type users, higher = more diverse behavior.
 
-    Scale shape: per-batch (user, type) Arrow partials, ONE user-bucket
-    exchange bounded by users × event types, vectorized per-bucket
-    fold."""
+    Scale shape: per-batch (user, type) Arrow partials, ONE user-keyed
+    :func:`co_group` bounded by users × event types, vectorized
+    per-group fold."""
     import pandas as pd
-
-    buckets = 64
 
     def partials(batch: pa.Table) -> pa.Table:
         g = (
@@ -2981,18 +2837,16 @@ def user_type_entropy(sf_dir: str) -> rd.Dataset:
             .group_by(["user_id", "event_type"])
             .aggregate([("event_type", "count")])
         )
-        u = g.column("user_id").to_numpy(zero_copy_only=False).astype(np.int64)
         return pa.table(
             {
-                "bkt": pa.array((u % buckets).astype(np.int32)),
-                "user_id": pa.array(u),
+                "user_id": pc.cast(g.column("user_id"), pa.int64()),
                 "event_type": g.column("event_type"),
                 "k": pc.cast(g.column("event_type_count"), pa.int64()),
             }
         )
 
-    def fold(g: pd.DataFrame) -> pd.DataFrame:
-        c = g.groupby(["user_id", "event_type"], as_index=False)["k"].sum()
+    def fold(counts: pd.DataFrame) -> pd.DataFrame:
+        c = counts.groupby(["user_id", "event_type"], as_index=False)["k"].sum()
         n = c.groupby("user_id")["k"].transform("sum").to_numpy(np.int64)
         k = c["k"].to_numpy(np.int64)
         term = k * np.floor(
@@ -3009,12 +2863,10 @@ def user_type_entropy(sf_dir: str) -> rd.Dataset:
         out["entropy_micros"] = out["entropy_micros"].astype(np.int64)
         return out
 
-    return (
-        _t(sf_dir, "events", ["user_id", "event_type"])
-        .map_batches(partials, batch_format="pyarrow", zero_copy_batch=True)
-        .groupby("bkt")
-        .map_groups(arrow_udf(fold), batch_format="pandas")
+    counts = _t(sf_dir, "events", ["user_id", "event_type"]).map_batches(
+        partials, batch_format="pyarrow", zero_copy_batch=True
     )
+    return co_group(fold, counts=(counts, "user_id"))
 
 
 # -- ship-latency quantiles per order priority ------------------------------------
@@ -3402,8 +3254,9 @@ def pareto_orders(sf_dir: str) -> rd.Dataset:
     front(S) ∪ front(T) — each batch collapses to its LOCAL front with
     a vectorized price-level cummin sweep (2-D fronts are typically
     O(log n) rows), and the exact global front is the same sweep over
-    the union of local fronts on a constant key; the fact table never
-    shuffles and the one exchange carries only front candidates."""
+    the union of local fronts in one keyless :func:`co_group`; the
+    fact table never shuffles and the one exchange carries only front
+    candidates."""
     import pandas as pd
 
     _day_us = 86_400_000_000
@@ -3425,19 +3278,12 @@ def pareto_orders(sf_dir: str) -> rd.Dataset:
                 ),
             }
         )
-        out = _pareto_front(df)
-        out.insert(0, "k", np.zeros(len(out), np.int8))
-        return pa.Table.from_pandas(out, preserve_index=False)
+        return pa.Table.from_pandas(_pareto_front(df), preserve_index=False)
 
-    def global_front(g: pd.DataFrame) -> pd.DataFrame:
-        return _pareto_front(g)
-
-    return (
-        _t(sf_dir, "orders", ["o_orderkey", "o_totalprice", "o_orderdate"])
-        .map_batches(local_front, batch_format="pyarrow", zero_copy_batch=True)
-        .groupby("k")
-        .map_groups(arrow_udf(global_front), batch_format="pandas")
-    )
+    fronts = _t(
+        sf_dir, "orders", ["o_orderkey", "o_totalprice", "o_orderdate"]
+    ).map_batches(local_front, batch_format="pyarrow", zero_copy_batch=True)
+    return co_group(_pareto_front, df=(fronts, None))
 
 
 # -- TPC-H Q2: minimum-cost supplier per part ---------------------------------
@@ -3535,7 +3381,7 @@ def brand_supplier_counts(sf_dir: str) -> rd.Dataset:
     on suppkey so every copy of a triple (the same supplier can reach
     one brand/size via parts in different partkey buckets) lands in
     one bucket, where a single drop_duplicates makes the distinct
-    exact; per-bucket counts then sum on a constant key."""
+    exact; per-bucket counts then sum in a keyless :func:`co_group`."""
     import pandas as pd
 
     def li_pairs(batch: pa.Table) -> pa.Table:
@@ -3557,21 +3403,18 @@ def brand_supplier_counts(sf_dir: str) -> rd.Dataset:
         return m[["l_suppkey", "p_brand", "p_size"]]
 
     def bucket_counts(triples: pd.DataFrame) -> pd.DataFrame:
-        if triples.empty:
-            return pd.DataFrame()
         d = triples.drop_duplicates()
         c = d.groupby(["p_brand", "p_size"], as_index=False).size()
         return pd.DataFrame(
             {
-                "fin": np.zeros(len(c), np.int8),
                 "p_brand": c["p_brand"],
                 "p_size": c["p_size"].to_numpy(np.int64),
                 "n": c["size"].to_numpy(np.int64),
             }
         )
 
-    def final(g: pd.DataFrame) -> pd.DataFrame:
-        agg = g.groupby(["p_brand", "p_size"], as_index=False)["n"].sum()
+    def final(counts: pd.DataFrame) -> pd.DataFrame:
+        agg = counts.groupby(["p_brand", "p_size"], as_index=False)["n"].sum()
         return pd.DataFrame(
             {
                 "p_brand": agg["p_brand"].to_numpy(),
@@ -3587,11 +3430,8 @@ def brand_supplier_counts(sf_dir: str) -> rd.Dataset:
         sf_dir, "part", ["p_partkey", "p_brand", "p_type", "p_size"]
     ).map_batches(part_rows, batch_format="pyarrow", zero_copy_batch=True)
     triples = co_group(to_triples, pairs=(li, "l_partkey"), part=(parts, "p_partkey"))
-    return (
-        co_group(bucket_counts, triples=(triples, "l_suppkey"))
-        .groupby("fin")
-        .map_groups(arrow_udf(final), batch_format="pandas")
-    )
+    counts = co_group(bucket_counts, triples=(triples, "l_suppkey"))
+    return co_group(final, counts=(counts, None))
 
 
 # -- TPC-H Q20: dominant part suppliers ---------------------------------------
@@ -3640,8 +3480,6 @@ def dominant_suppliers(sf_dir: str) -> rd.Dataset:
         return g.rename_columns(["l_partkey", "l_suppkey", "q"])
 
     def per_part_gate(li: pd.DataFrame) -> pd.DataFrame:
-        if li.empty:
-            return pd.DataFrame()
         ps = li.groupby(["l_partkey", "l_suppkey"], as_index=False)["q"].sum()
         tot = ps.groupby("l_partkey").agg(tq=("q", "sum"), nsup=("l_suppkey", "size"))
         m = ps.join(tot, on="l_partkey")
@@ -3751,48 +3589,29 @@ def robust_value_outliers(sf_dir: str) -> rd.Dataset:
 
 # -- customer value deciles ------------------------------------------------------
 
-VALUE_DECILES = 10
 
-
-def customer_value_deciles(sf_dir: str, tiles: int = VALUE_DECILES) -> rd.Dataset:
-    """(decile, n_customers, total_cc, min_cc, max_cc): customers
-    ranked by lifetime order value and split into ``tiles`` rank-tiles
-    (SQL ntile sizing: the first n % tiles tiles take one extra row;
-    order (rev ASC, custkey ASC)) — the customer-segmentation rollup.
-
-    Scale shape: per-customer revenue is exact after one custkey-bucket
-    combine (in-batch partials first); ranks then use the ccnet/
-    shuffle_shards two-pass distributed-rank pattern — a constant
-    log2-revenue grid of counts folds on the driver, one co-shuffle on
-    the grid key gives every row its global rank = grid offset + local
-    sort position (equal revenues share a grid cell, so offsets align
-    with the (rev, ck) order), and each group emits per-decile partials
-    that a constant-key combine folds to ``tiles`` rows."""
+def _customer_rev_grid(sf_dir: str) -> rd.Dataset:
+    """Materialized narrow (gkey, ck, rev) rows: every customer's exact
+    lifetime order cents ``rev`` (in-batch partials, one custkey
+    :func:`co_group`) and its constant log2-revenue grid cell
+    ``gkey`` — pass one of the two-pass distributed rank that
+    customer_value_deciles, gini_customer_revenue and
+    revenue_concentration share."""
     import pandas as pd
 
-    buckets = 64
-
     def ord_partials(batch: pa.Table) -> pa.Table:
-        cents = pc.cast(
-            pc.round(pc.multiply(batch.column("o_totalprice"), 100.0)),
-            pa.int64(),
-        )
+        cents = _cents(batch.column("o_totalprice"))
         g = (
             pa.table({"ck": batch.column("o_custkey"), "rev": cents})
             .group_by(["ck"])
             .aggregate([("rev", "sum")])
         )
-        ck = g.column("ck").to_numpy(zero_copy_only=False)
         return pa.table(
-            {
-                "bkt": pa.array((ck % buckets).astype(np.int32)),
-                "ck": pa.array(ck, pa.int64()),
-                "rev": g.column("rev_sum"),
-            }
+            {"ck": pc.cast(g.column("ck"), pa.int64()), "rev": g.column("rev_sum")}
         )
 
-    def per_customer(g: pd.DataFrame) -> pa.Table:
-        tot = g.groupby("ck", as_index=False)["rev"].sum()
+    def per_customer(parts: pd.DataFrame) -> pa.Table:
+        tot = parts.groupby("ck", as_index=False)["rev"].sum()
         rev = tot["rev"].to_numpy(np.int64)
         grid = np.floor(np.log2(rev.astype(np.float64) + 2.0)).astype(np.int64)
         return pa.table(
@@ -3803,13 +3622,32 @@ def customer_value_deciles(sf_dir: str, tiles: int = VALUE_DECILES) -> rd.Datase
             }
         )
 
-    per_cust = (
-        _t(sf_dir, "orders", ["o_custkey", "o_totalprice"])
-        .map_batches(ord_partials, batch_format="pyarrow", zero_copy_batch=True)
-        .groupby("bkt")
-        .map_groups(arrow_udf(per_customer), batch_format="pandas")
-        .materialize()  # narrow (gkey, ck, rev) rows; read by both passes
+    parts = _t(sf_dir, "orders", ["o_custkey", "o_totalprice"]).map_batches(
+        ord_partials, batch_format="pyarrow", zero_copy_batch=True
     )
+    return co_group(per_customer, parts=(parts, "ck")).materialize()
+
+
+VALUE_DECILES = 10
+
+
+def customer_value_deciles(sf_dir: str, tiles: int = VALUE_DECILES) -> rd.Dataset:
+    """(decile, n_customers, total_cc, min_cc, max_cc): customers
+    ranked by lifetime order value and split into ``tiles`` rank-tiles
+    (SQL ntile sizing: the first n % tiles tiles take one extra row;
+    order (rev ASC, custkey ASC)) — the customer-segmentation rollup.
+
+    Scale shape: per-customer revenue is exact after one custkey
+    :func:`co_group` (:func:`_customer_rev_grid`); ranks then use the ccnet/
+    shuffle_shards two-pass distributed-rank pattern — a constant
+    log2-revenue grid of counts folds on the driver, one co-shuffle on
+    the grid key gives every row its global rank = grid offset + local
+    sort position (equal revenues share a grid cell, so offsets align
+    with the (rev, ck) order), and each group emits per-decile partials
+    that a keyless :func:`co_group` folds to ``tiles`` rows."""
+    import pandas as pd
+
+    per_cust = _customer_rev_grid(sf_dir)
 
     counts = (
         per_cust.groupby("gkey")
@@ -3845,11 +3683,10 @@ def customer_value_deciles(sf_dir: str, tiles: int = VALUE_DECILES) -> rd.Datase
             min_cc=("rev", "min"),
             max_cc=("rev", "max"),
         )
-        agg["fin"] = np.int8(0)
         return agg
 
-    def final(g: pd.DataFrame) -> pd.DataFrame:
-        agg = g.groupby("decile", as_index=False).agg(
+    def final(deciles: pd.DataFrame) -> pd.DataFrame:
+        agg = deciles.groupby("decile", as_index=False).agg(
             n_customers=("n_customers", "sum"),
             total_cc=("total_cc", "sum"),
             min_cc=("min_cc", "min"),
@@ -3859,12 +3696,10 @@ def customer_value_deciles(sf_dir: str, tiles: int = VALUE_DECILES) -> rd.Datase
             agg[c] = agg[c].astype(np.int64)
         return agg[["decile", "n_customers", "total_cc", "min_cc", "max_cc"]]
 
-    return (
-        per_cust.groupby("gkey")
-        .map_groups(arrow_udf(decile_partials), batch_format="pandas")
-        .groupby("fin")
-        .map_groups(arrow_udf(final), batch_format="pandas")
+    deciles = per_cust.groupby("gkey").map_groups(
+        arrow_udf(decile_partials), batch_format="pandas"
     )
+    return co_group(final, deciles=(deciles, None))
 
 
 def event_trigrams(sf_dir: str, k: int = 25) -> rd.Dataset:
@@ -3874,33 +3709,19 @@ def event_trigrams(sf_dir: str, k: int = 25) -> rd.Dataset:
     on top of :func:`event_transitions`' first-order matrix: a funnel
     A→B→C that the pairwise counts can't see.
 
-    Scale shape: identical to event_transitions — one hash(user)
-    co-shuffle of narrow rows, per-bucket vectorized lexsort with
+    Scale shape: identical to event_transitions — one user-keyed
+    :func:`co_group` of narrow rows, per-group vectorized lexsort with
     two-step boundary masks collapsing to ≤ types³ triple partials,
-    and a triple-keyed combine with a final top-k."""
+    and a keyless :func:`co_group` that sums them and cuts the top-k."""
     import pandas as pd
 
-    buckets = 64
-
-    def narrow(batch: pa.Table) -> pa.Table:
-        u = batch.column("user_id").to_numpy(zero_copy_only=False)
-        return pa.table(
-            {
-                "bkt": pa.array((u % buckets).astype(np.int32)),
-                "u": pa.array(u, pa.int64()),
-                "tm": pc.cast(batch.column("ts"), pa.int64()),
-                "eid": batch.column("event_id"),
-                "event_type": batch.column("event_type"),
-            }
-        )
-
-    def triple_partials(g: pd.DataFrame) -> pa.Table:
+    def triple_partials(ev: pd.DataFrame) -> pa.Table:
+        u = ev["user_id"].to_numpy(np.int64)
         order = np.lexsort(
-            (g["eid"].to_numpy(np.int64), g["tm"].to_numpy(np.int64),
-             g["u"].to_numpy(np.int64))
+            (ev["event_id"].to_numpy(np.int64), ev["ts"].to_numpy(), u)
         )
-        u = g["u"].to_numpy(np.int64)[order]
-        t = g["event_type"].to_numpy()[order]
+        u = u[order]
+        t = ev["event_type"].to_numpy()[order]
         same = (u[:-2] == u[1:-1]) & (u[1:-1] == u[2:])
         df = pd.DataFrame(
             {"t1": t[:-2][same], "t2": t[1:-1][same], "t3": t[2:][same]}
@@ -3912,26 +3733,20 @@ def event_trigrams(sf_dir: str, k: int = 25) -> rd.Dataset:
                 "t2": pa.array(out["t2"], pa.string()),
                 "t3": pa.array(out["t3"], pa.string()),
                 "n": pa.array(out["size"].to_numpy(np.int64), pa.int64()),
-                "fin": pa.array(np.zeros(len(out), np.int8)),
             }
         )
 
-    def combine_topk(g: pd.DataFrame) -> pd.DataFrame:
-        agg = g.groupby(["t1", "t2", "t3"], as_index=False)["n"].sum()
+    def combine_topk(triples: pd.DataFrame) -> pd.DataFrame:
+        agg = triples.groupby(["t1", "t2", "t3"], as_index=False)["n"].sum()
         agg = agg.sort_values(
             ["n", "t1", "t2", "t3"], ascending=[False, True, True, True]
         ).head(k)
         agg["n"] = agg["n"].astype(np.int64)
         return agg.reset_index(drop=True)
 
-    return (
-        _t(sf_dir, "events", ["user_id", "ts", "event_id", "event_type"])
-        .map_batches(narrow, batch_format="pyarrow", zero_copy_batch=True)
-        .groupby("bkt")
-        .map_groups(arrow_udf(triple_partials), batch_format="pandas")
-        .groupby("fin")
-        .map_groups(arrow_udf(combine_topk), batch_format="pandas")
-    )
+    ev = _t(sf_dir, "events", ["user_id", "ts", "event_id", "event_type"])
+    triples = co_group(triple_partials, ev=(ev, "user_id"))
+    return co_group(combine_topk, triples=(triples, None))
 
 
 def user_drawdowns(sf_dir: str) -> rd.Dataset:
@@ -3944,37 +3759,20 @@ def user_drawdowns(sf_dir: str) -> rd.Dataset:
 
     Exact integer cents; users with one event report drawdown 0.
 
-    Scale shape: one hash(user) co-shuffle of narrow rows (the
-    event_transitions exchange); each bucket lexsorts once and computes
+    Scale shape: one user-keyed :func:`co_group` of narrow rows (the
+    event_transitions exchange); each group lexsorts once and computes
     every user's running max with a segment-reset np.maximum.accumulate
     — per-user output is ONE row, so nothing user-cardinality-squared
     ever exists."""
     import pandas as pd
 
-    buckets = 64
-
-    def narrow(batch: pa.Table) -> pa.Table:
-        u = batch.column("user_id").to_numpy(zero_copy_only=False)
-        cents = pc.cast(
-            pc.round(pc.multiply(batch.column("value"), 100.0)), pa.int64()
-        )
-        return pa.table(
-            {
-                "bkt": pa.array((u % buckets).astype(np.int32)),
-                "u": pa.array(u, pa.int64()),
-                "tm": pc.cast(batch.column("ts"), pa.int64()),
-                "eid": batch.column("event_id"),
-                "cents": cents,
-            }
-        )
-
-    def drawdown(g: pd.DataFrame) -> pd.DataFrame:
+    def drawdown(ev: pd.DataFrame) -> pd.DataFrame:
+        u = ev["user_id"].to_numpy(np.int64)
         order = np.lexsort(
-            (g["eid"].to_numpy(np.int64), g["tm"].to_numpy(np.int64),
-             g["u"].to_numpy(np.int64))
+            (ev["event_id"].to_numpy(np.int64), ev["ts"].to_numpy(), u)
         )
-        u = g["u"].to_numpy(np.int64)[order]
-        v = g["cents"].to_numpy(np.int64)[order]
+        u = u[order]
+        v = ev["cents"].to_numpy(np.int64)[order]
         # segment-reset running max: subtract a per-segment offset big
         # enough that accumulate never bleeds across user boundaries
         starts = np.flatnonzero(np.concatenate([[True], u[1:] != u[:-1]]))
@@ -3999,12 +3797,7 @@ def user_drawdowns(sf_dir: str) -> rd.Dataset:
             }
         )
 
-    return (
-        _t(sf_dir, "events", ["user_id", "ts", "event_id", "value"])
-        .map_batches(narrow, batch_format="pyarrow", zero_copy_batch=True)
-        .groupby("bkt")
-        .map_groups(arrow_udf(drawdown), batch_format="pandas")
-    )
+    return co_group(drawdown, ev=(_event_cents(sf_dir), "user_id"))
 
 
 # -- TPC-H Q9 shape: revenue by supplier nation x ship year ----------------------
@@ -4020,7 +3813,7 @@ def nation_year_revenue(sf_dir: str) -> rd.Dataset:
     extracted as epoch-day // 365.2425 is WRONG; Arrow's calendar
     ``year()`` is identical to SQL year() — :func:`co_group` once with
     supplier nation rows on suppkey; each bucket folds to ≤ nations ×
-    years rows and a constant-key combine finishes."""
+    years rows and a keyless :func:`co_group` combine finishes."""
     import pandas as pd
 
     nation = _small_table_dict(sf_dir, "nation", "n_nationkey", "n_name")
@@ -4045,11 +3838,10 @@ def nation_year_revenue(sf_dir: str) -> rd.Dataset:
         m = li.merge(supp, left_on="l_suppkey", right_on="s_suppkey")
         m["n_name"] = m["s_nationkey"].map(nation)
         agg = m.groupby(["n_name", "year"], as_index=False)["rev"].sum()
-        agg["fin"] = np.int8(0)
         return agg.astype({"year": np.int64, "rev": np.int64})
 
-    def final(g: pd.DataFrame) -> pd.DataFrame:
-        agg = g.groupby(["n_name", "year"], as_index=False)["rev"].sum()
+    def final(parts: pd.DataFrame) -> pd.DataFrame:
+        agg = parts.groupby(["n_name", "year"], as_index=False)["rev"].sum()
         return pd.DataFrame(
             {
                 "n_name": agg["n_name"].to_numpy(),
@@ -4063,11 +3855,8 @@ def nation_year_revenue(sf_dir: str) -> rd.Dataset:
         ["l_suppkey", "l_shipdate", "l_extendedprice", "l_discount"],
     ).map_batches(li_partials, batch_format="pyarrow", zero_copy_batch=True)
     supp = _t(sf_dir, "supplier", ["s_suppkey", "s_nationkey"])
-    return (
-        co_group(fold, li=(li, "l_suppkey"), supp=(supp, "s_suppkey"))
-        .groupby("fin")
-        .map_groups(arrow_udf(final), batch_format="pandas")
-    )
+    parts = co_group(fold, li=(li, "l_suppkey"), supp=(supp, "s_suppkey"))
+    return co_group(final, parts=(parts, None))
 
 
 def gini_customer_revenue(sf_dir: str) -> rd.Dataset:
@@ -4085,50 +3874,12 @@ def gini_customer_revenue(sf_dir: str) -> rd.Dataset:
     precision), the SQL mirror HUGEINT.
 
     Scale shape: the customer_value_deciles two-pass distributed rank
-    (custkey combine → constant log2-revenue grid → in-bucket global
-    ranks), but each bucket emits ONE (n, Σx, Σi·x) moment row."""
+    (:func:`_customer_rev_grid` → in-cell global ranks), but each grid
+    cell emits ONE (n, Σx, Σi·x) moment row to a keyless
+    :func:`co_group` fold."""
     import pandas as pd
 
-    buckets = 64
-
-    def ord_partials(batch: pa.Table) -> pa.Table:
-        cents = pc.cast(
-            pc.round(pc.multiply(batch.column("o_totalprice"), 100.0)),
-            pa.int64(),
-        )
-        g = (
-            pa.table({"ck": batch.column("o_custkey"), "rev": cents})
-            .group_by(["ck"])
-            .aggregate([("rev", "sum")])
-        )
-        ck = g.column("ck").to_numpy(zero_copy_only=False)
-        return pa.table(
-            {
-                "bkt": pa.array((ck % buckets).astype(np.int32)),
-                "ck": pa.array(ck, pa.int64()),
-                "rev": g.column("rev_sum"),
-            }
-        )
-
-    def per_customer(g: pd.DataFrame) -> pa.Table:
-        tot = g.groupby("ck", as_index=False)["rev"].sum()
-        rev = tot["rev"].to_numpy(np.int64)
-        grid = np.floor(np.log2(rev.astype(np.float64) + 2.0)).astype(np.int64)
-        return pa.table(
-            {
-                "gkey": pa.array(grid),
-                "ck": pa.array(tot["ck"].to_numpy(np.int64)),
-                "rev": pa.array(rev),
-            }
-        )
-
-    per_cust = (
-        _t(sf_dir, "orders", ["o_custkey", "o_totalprice"])
-        .map_batches(ord_partials, batch_format="pyarrow", zero_copy_batch=True)
-        .groupby("bkt")
-        .map_groups(arrow_udf(per_customer), batch_format="pandas")
-        .materialize()  # narrow (gkey, ck, rev); both rank passes read it
-    )
+    per_cust = _customer_rev_grid(sf_dir)
 
     counts = (
         per_cust.groupby("gkey")
@@ -4151,17 +3902,16 @@ def gini_customer_revenue(sf_dir: str) -> rd.Dataset:
         rev = g["rev"].to_numpy(np.int64)
         return pd.DataFrame(
             {
-                "fin": np.array([0], np.int8),
                 "n": np.array([len(g)], np.int64),
                 "s0": np.array([rev.sum()], np.int64),
                 "s1": np.array([(rank * rev).sum()], np.int64),
             }
         )
 
-    def final(g: pd.DataFrame) -> pd.DataFrame:
-        n = int(g["n"].sum())
-        s0 = int(g["s0"].sum())
-        s1 = int(g["s1"].sum())
+    def final(moments: pd.DataFrame) -> pd.DataFrame:
+        n = int(moments["n"].sum())
+        s0 = int(moments["s0"].sum())
+        s1 = int(moments["s1"].sum())
         gini = ((2 * s1 - (n + 1) * s0) * 1_000_000) // (n * s0)
         return pd.DataFrame(
             {
@@ -4171,12 +3921,10 @@ def gini_customer_revenue(sf_dir: str) -> rd.Dataset:
             }
         )
 
-    return (
-        per_cust.groupby("gkey")
-        .map_groups(arrow_udf(moment_partials), batch_format="pandas")
-        .groupby("fin")
-        .map_groups(arrow_udf(final), batch_format="pandas")
+    moments = per_cust.groupby("gkey").map_groups(
+        arrow_udf(moment_partials), batch_format="pandas"
     )
+    return co_group(final, moments=(moments, None))
 
 
 def user_value_autocorr(sf_dir: str) -> rd.Dataset:
@@ -4192,35 +3940,18 @@ def user_value_autocorr(sf_dir: str) -> rd.Dataset:
     r = (n·Σxy − Σx·Σy) / (sqrt(n·Σx² − Σx²ᵗᵒᵗ) · sqrt(n·Σy² − …)),
     floored to micros.
 
-    Scale shape: one hash(user) co-shuffle of narrow rows; per-bucket
-    lexsort, boundary-masked lag pairs, and a vectorized per-user
+    Scale shape: one user-keyed :func:`co_group` of narrow rows;
+    per-group lexsort, boundary-masked lag pairs, and a vectorized per-user
     moment groupby — one row per qualifying user out."""
     import pandas as pd
 
-    buckets = 64
-
-    def narrow(batch: pa.Table) -> pa.Table:
-        u = batch.column("user_id").to_numpy(zero_copy_only=False)
-        cents = pc.cast(
-            pc.round(pc.multiply(batch.column("value"), 100.0)), pa.int64()
-        )
-        return pa.table(
-            {
-                "bkt": pa.array((u % buckets).astype(np.int32)),
-                "u": pa.array(u, pa.int64()),
-                "tm": pc.cast(batch.column("ts"), pa.int64()),
-                "eid": batch.column("event_id"),
-                "cents": cents,
-            }
-        )
-
-    def autocorr(g: pd.DataFrame) -> pd.DataFrame:
+    def autocorr(ev: pd.DataFrame) -> pd.DataFrame:
+        u = ev["user_id"].to_numpy(np.int64)
         order = np.lexsort(
-            (g["eid"].to_numpy(np.int64), g["tm"].to_numpy(np.int64),
-             g["u"].to_numpy(np.int64))
+            (ev["event_id"].to_numpy(np.int64), ev["ts"].to_numpy(), u)
         )
-        u = g["u"].to_numpy(np.int64)[order]
-        v = g["cents"].to_numpy(np.int64)[order]
+        u = u[order]
+        v = ev["cents"].to_numpy(np.int64)[order]
         same = u[:-1] == u[1:]
         x, y, uu = v[:-1][same], v[1:][same], u[:-1][same]
         df = pd.DataFrame(
@@ -4255,12 +3986,7 @@ def user_value_autocorr(sf_dir: str) -> rd.Dataset:
             }
         )
 
-    return (
-        _t(sf_dir, "events", ["user_id", "ts", "event_id", "value"])
-        .map_batches(narrow, batch_format="pyarrow", zero_copy_batch=True)
-        .groupby("bkt")
-        .map_groups(arrow_udf(autocorr), batch_format="pandas")
-    )
+    return co_group(autocorr, ev=(_event_cents(sf_dir), "user_id"))
 
 
 def value_cume_dist(sf_dir: str) -> rd.Dataset:
@@ -4345,31 +4071,16 @@ def leave_last_k(sf_dir: str, k: int = LEAVE_LAST_K) -> rd.Dataset:
     cannot express (it assigns whole users; this holds out each user's
     future).  Users with ≤ k events contribute only test rows.
 
-    Scale shape: one hash(user) co-shuffle of narrow rows; per-bucket
-    vectorized lexsort + reversed segment rank (no per-user Python);
+    Scale shape: one user-keyed :func:`co_group` of narrow rows;
+    per-group vectorized lexsort + reversed segment rank (no per-user Python);
     row-level output, nothing user-squared."""
     import pandas as pd
 
-    buckets = 64
-
-    def narrow(batch: pa.Table) -> pa.Table:
-        u = batch.column("user_id").to_numpy(zero_copy_only=False)
-        return pa.table(
-            {
-                "bkt": pa.array((u % buckets).astype(np.int32)),
-                "u": pa.array(u, pa.int64()),
-                "tm": pc.cast(batch.column("ts"), pa.int64()),
-                "eid": batch.column("event_id"),
-            }
-        )
-
-    def tag(g: pd.DataFrame) -> pd.DataFrame:
-        order = np.lexsort(
-            (g["eid"].to_numpy(np.int64), g["tm"].to_numpy(np.int64),
-             g["u"].to_numpy(np.int64))
-        )
-        u = g["u"].to_numpy(np.int64)[order]
-        eid = g["eid"].to_numpy(np.int64)[order]
+    def tag(ev: pd.DataFrame) -> pd.DataFrame:
+        u = ev["user_id"].to_numpy(np.int64)
+        eid = ev["event_id"].to_numpy(np.int64)
+        order = np.lexsort((eid, ev["ts"].to_numpy(), u))
+        u, eid = u[order], eid[order]
         # rank from each segment's END: seg_end(i) = the FIRST boundary
         # index at or after i — a suffix MIN over boundary positions
         # (a suffix max would pin every row to the bucket's final row;
@@ -4389,12 +4100,8 @@ def leave_last_k(sf_dir: str, k: int = LEAVE_LAST_K) -> rd.Dataset:
             }
         )
 
-    return (
-        _t(sf_dir, "events", ["user_id", "ts", "event_id"])
-        .map_batches(narrow, batch_format="pyarrow", zero_copy_batch=True)
-        .groupby("bkt")
-        .map_groups(arrow_udf(tag), batch_format="pandas")
-    )
+    ev = _t(sf_dir, "events", ["user_id", "ts", "event_id"])
+    return co_group(tag, ev=(ev, "user_id"))
 
 
 CONC_PCT_NUM, CONC_PCT_DEN = 4, 5  # the "80" of the 80/20 summary
@@ -4418,46 +4125,7 @@ def revenue_concentration(sf_dir: str) -> rd.Dataset:
     moments; the wide data never moves."""
     import pandas as pd
 
-    buckets = 64
-
-    def ord_partials(batch: pa.Table) -> pa.Table:
-        cents = pc.cast(
-            pc.round(pc.multiply(batch.column("o_totalprice"), 100.0)),
-            pa.int64(),
-        )
-        g = (
-            pa.table({"ck": batch.column("o_custkey"), "rev": cents})
-            .group_by(["ck"])
-            .aggregate([("rev", "sum")])
-        )
-        ck = g.column("ck").to_numpy(zero_copy_only=False)
-        return pa.table(
-            {
-                "bkt": pa.array((ck % buckets).astype(np.int32)),
-                "ck": pa.array(ck, pa.int64()),
-                "rev": g.column("rev_sum"),
-            }
-        )
-
-    def per_customer(g: pd.DataFrame) -> pa.Table:
-        tot = g.groupby("ck", as_index=False)["rev"].sum()
-        rev = tot["rev"].to_numpy(np.int64)
-        grid = np.floor(np.log2(rev.astype(np.float64) + 2.0)).astype(np.int64)
-        return pa.table(
-            {
-                "gkey": pa.array(grid),
-                "ck": pa.array(tot["ck"].to_numpy(np.int64)),
-                "rev": pa.array(rev),
-            }
-        )
-
-    per_cust = (
-        _t(sf_dir, "orders", ["o_custkey", "o_totalprice"])
-        .map_batches(ord_partials, batch_format="pyarrow", zero_copy_batch=True)
-        .groupby("bkt")
-        .map_groups(arrow_udf(per_customer), batch_format="pandas")
-        .materialize()
-    )
+    per_cust = _customer_rev_grid(sf_dir)
 
     def cell_moments(g: pd.DataFrame) -> pd.DataFrame:
         return pd.DataFrame(
@@ -4618,8 +4286,8 @@ def hour_of_day_effect(sf_dir: str) -> rd.Dataset:
     HUGEINT in the mirror.
 
     Scale shape: one streaming pass of per-batch (hour, n, S, Q)
-    partials — a constant 24-row output per batch — then a 24-key
-    combine and a single-row driver-free fold."""
+    partials — a constant 24-row output per batch — then one keyless
+    :func:`co_group` fold to a single row, driver-free."""
     import pandas as pd
 
     def partials(batch: pa.Table) -> pa.Table:
@@ -4641,7 +4309,6 @@ def hour_of_day_effect(sf_dir: str) -> rd.Dataset:
         np.add.at(q, hour, cents * cents)
         return pa.table(
             {
-                "fin": pa.array(np.zeros(24, np.int8)),
                 "hour": pa.array(np.arange(24, dtype=np.int64)),
                 "n": pa.array(n),
                 "s": pa.array(s),
@@ -4649,9 +4316,9 @@ def hour_of_day_effect(sf_dir: str) -> rd.Dataset:
             }
         )
 
-    def fold(g: pd.DataFrame) -> pd.DataFrame:
+    def fold(parts: pd.DataFrame) -> pd.DataFrame:
         K = 1000
-        agg = g.groupby("hour", as_index=False)[["n", "s", "q"]].sum()
+        agg = parts.groupby("hour", as_index=False)[["n", "s", "q"]].sum()
         agg = agg[agg["n"] > 0]
         N = int(agg["n"].sum())
         S = int(agg["s"].sum())
@@ -4675,12 +4342,10 @@ def hour_of_day_effect(sf_dir: str) -> rd.Dataset:
             }
         )
 
-    return (
-        _t(sf_dir, "events", ["ts", "value"])
-        .map_batches(partials, batch_format="pyarrow", zero_copy_batch=True)
-        .groupby("fin")
-        .map_groups(arrow_udf(fold), batch_format="pandas")
+    parts = _t(sf_dir, "events", ["ts", "value"]).map_batches(
+        partials, batch_format="pyarrow", zero_copy_batch=True
     )
+    return co_group(fold, parts=(parts, None))
 
 
 def target_encode_events(sf_dir: str) -> rd.Dataset:
@@ -4764,7 +4429,7 @@ def customer_rfm(sf_dir: str) -> rd.Dataset:
     event_quantiles convention) over the per-customer metric
     distributions.
 
-    Scale shape: ONE custkey-bucket combine builds exact per-customer
+    Scale shape: ONE custkey :func:`co_group` builds exact per-customer
     (r, f, m) narrow rows; each metric's quartile cutoffs come from a
     BOUNDED histogram fold (recency days and order counts have small
     domains; monetary folds its distinct values per bucket first — at
@@ -4772,8 +4437,6 @@ def customer_rfm(sf_dir: str) -> rd.Dataset:
     search); the 9 cutoffs broadcast in-closure and scoring is
     map-only."""
     import pandas as pd
-
-    buckets = 64
 
     def ord_partials(batch: pa.Table) -> pa.Table:
         ck = batch.column("o_custkey").to_numpy(zero_copy_only=False)
@@ -4796,19 +4459,10 @@ def customer_rfm(sf_dir: str) -> rd.Dataset:
             .group_by(["ck"])
             .aggregate([("m", "sum"), ("n", "sum"), ("d", "max")])
         )
-        ckk = g.column("ck").to_numpy(zero_copy_only=False)
-        return pa.table(
-            {
-                "bkt": pa.array((ckk % buckets).astype(np.int32)),
-                "ck": pa.array(ckk, pa.int64()),
-                "m": g.column("m_sum"),
-                "n": g.column("n_sum"),
-                "d": g.column("d_max"),
-            }
-        )
+        return g.rename_columns(["ck", "m", "n", "d"])
 
-    def per_customer(g: pd.DataFrame) -> pa.Table:
-        agg = g.groupby("ck", as_index=False).agg(
+    def per_customer(parts: pd.DataFrame) -> pa.Table:
+        agg = parts.groupby("ck", as_index=False).agg(
             m=("m", "sum"), n=("n", "sum"), d=("d", "max")
         )
         return pa.table(
@@ -4820,13 +4474,11 @@ def customer_rfm(sf_dir: str) -> rd.Dataset:
             }
         )
 
-    per_cust = (
-        _t(sf_dir, "orders", ["o_custkey", "o_totalprice", "o_orderdate"])
-        .map_batches(ord_partials, batch_format="pyarrow", zero_copy_batch=True)
-        .groupby("bkt")
-        .map_groups(arrow_udf(per_customer), batch_format="pandas")
-        .materialize()  # narrow customer-dim rows; read by 2 passes
-    )
+    parts = _t(
+        sf_dir, "orders", ["o_custkey", "o_totalprice", "o_orderdate"]
+    ).map_batches(ord_partials, batch_format="pyarrow", zero_copy_batch=True)
+    # narrow customer-dim rows; read by 2 passes
+    per_cust = co_group(per_customer, parts=(parts, "ck")).materialize()
 
     # bounded histogram folds: distinct values per metric << customers
     def hist_partials(batch: pa.Table) -> pa.Table:
@@ -4979,7 +4631,7 @@ def benford_orders(sf_dir: str) -> rd.Dataset:
 
     Scale shape: map-only per-batch digit bincounts (first digit via
     integer decimation, no string round-trip) folding to a 9-row
-    artifact; driver-free single combine."""
+    artifact; one keyless :func:`co_group` combine, driver-free."""
     import pandas as pd
 
     def partials(batch: pa.Table) -> pa.Table:
@@ -5000,14 +4652,13 @@ def benford_orders(sf_dir: str) -> rd.Dataset:
         counts = np.bincount(d, minlength=10)[1:10].astype(np.int64)
         return pa.table(
             {
-                "fin": pa.array(np.zeros(9, np.int8)),
                 "digit": pa.array(np.arange(1, 10, dtype=np.int64)),
                 "n": pa.array(counts),
             }
         )
 
-    def fold(g: pd.DataFrame) -> pd.DataFrame:
-        agg = g.groupby("digit", as_index=False)["n"].sum()
+    def fold(parts: pd.DataFrame) -> pd.DataFrame:
+        agg = parts.groupby("digit", as_index=False)["n"].sum()
         N = int(agg["n"].sum())
         exp = [
             (N * BENFORD_MICROS[d - 1]) // 1_000_000
@@ -5026,12 +4677,10 @@ def benford_orders(sf_dir: str) -> rd.Dataset:
             }
         )
 
-    return (
-        _t(sf_dir, "orders", ["o_totalprice"])
-        .map_batches(partials, batch_format="pyarrow", zero_copy_batch=True)
-        .groupby("fin")
-        .map_groups(arrow_udf(fold), batch_format="pandas")
+    parts = _t(sf_dir, "orders", ["o_totalprice"]).map_batches(
+        partials, batch_format="pyarrow", zero_copy_batch=True
     )
+    return co_group(fold, parts=(parts, None))
 
 
 BURST_RATE_MULT = 2  # burst-state level = 2x the mean hourly total
@@ -5246,7 +4895,7 @@ def fano_hourly_by_type(sf_dir: str) -> rd.Dataset:
     DuckDB // agree.
 
     Scale shape: per-batch (type, hour) count partials (narrow, bounded
-    by types × hours) through one constant-key combine."""
+    by types × hours) through one keyless :func:`co_group` fold."""
     import pandas as pd
 
     def partials(batch: pa.Table) -> pa.Table:
@@ -5261,15 +4910,14 @@ def fano_hourly_by_type(sf_dir: str) -> rd.Dataset:
         )
         return pa.table(
             {
-                "fin": pa.array(np.zeros(g.num_rows, np.int8)),
                 "t": g.column("t"),
                 "h": g.column("h"),
                 "n": g.column("count_all"),
             }
         )
 
-    def fold(g: pd.DataFrame) -> pd.DataFrame:
-        agg = g.groupby(["t", "h"], as_index=False)["n"].sum()
+    def fold(parts: pd.DataFrame) -> pd.DataFrame:
+        agg = parts.groupby(["t", "h"], as_index=False)["n"].sum()
         h_lo = int(agg["h"].min())
         h_hi = int(agg["h"].max())
         slots = (h_hi - h_lo) // 3_600_000_000 + 1
@@ -5296,12 +4944,10 @@ def fano_hourly_by_type(sf_dir: str) -> rd.Dataset:
             ],
         )
 
-    return (
-        _t(sf_dir, "events", ["event_type", "ts"])
-        .map_batches(partials, batch_format="pyarrow", zero_copy_batch=True)
-        .groupby("fin")
-        .map_groups(arrow_udf(fold), batch_format="pandas")
+    parts = _t(sf_dir, "events", ["event_type", "ts"]).map_batches(
+        partials, batch_format="pyarrow", zero_copy_batch=True
     )
+    return co_group(fold, parts=(parts, None))
 
 
 ACF_MAX_LAG = 6
@@ -5358,7 +5004,7 @@ def trimmed_mean_orders(sf_dir: str) -> rd.Dataset:
     Scale shape: the exchange carries one (cents → count, mass) row
     per DISTINCT price — bounded by the value domain, not the row
     count (the histogram-partial quantile shape); rank cuts and range
-    sums are driver math over that artifact."""
+    sums run once over that artifact in a keyless :func:`co_group`."""
     import pandas as pd
 
     def partials(batch: pa.Table) -> pa.Table:
@@ -5373,16 +5019,13 @@ def trimmed_mean_orders(sf_dir: str) -> rd.Dataset:
         )
         return pa.table(
             {
-                "fin": pa.array(np.zeros(g.num_rows, np.int8)),
                 "v": g.column("v"),
                 "n": g.column("count_all"),
             }
         )
 
-    def fold(g: pd.DataFrame) -> pd.DataFrame:
-        agg = (
-            g.groupby("v", as_index=False)["n"].sum().sort_values("v")
-        )
+    def fold(parts: pd.DataFrame) -> pd.DataFrame:
+        agg = parts.groupby("v", as_index=False)["n"].sum().sort_values("v")
         v = agg["v"].to_numpy(np.int64)
         cnt = agg["n"].to_numpy(np.int64)
         n_total = int(cnt.sum())
@@ -5418,12 +5061,10 @@ def trimmed_mean_orders(sf_dir: str) -> rd.Dataset:
             ],
         ).astype(np.int64)
 
-    return (
-        _t(sf_dir, "orders", ["o_totalprice"])
-        .map_batches(partials, batch_format="pyarrow", zero_copy_batch=True)
-        .groupby("fin")
-        .map_groups(arrow_udf(fold), batch_format="pandas")
+    parts = _t(sf_dir, "orders", ["o_totalprice"]).map_batches(
+        partials, batch_format="pyarrow", zero_copy_batch=True
     )
+    return co_group(fold, parts=(parts, None))
 
 
 def robust_scaled_events(sf_dir: str) -> rd.Dataset:
@@ -5503,15 +5144,13 @@ def asof_event_join(
     price before a trade): left events with no prior right event are
     dropped (inner asof).
 
-    Scale shape: ONE hash(user_id) co-shuffle of narrow rows; each
-    bucket lexsorts (user, ts, event_id) once and computes the match
+    Scale shape: ONE user-keyed :func:`co_group` of narrow rows; each
+    group lexsorts (user, ts, event_id) once and computes the match
     with a vectorized forward-fill over the right-side rows — no
-    per-row Python, no cross-bucket state (a user lives wholly in its
-    bucket).  The (ts, event_id) tie rule makes the result
+    per-row Python, no cross-group state (a user lives wholly in its
+    group).  The (ts, event_id) tie rule makes the result
     deterministic under equal timestamps."""
     import pandas as pd
-
-    buckets = 64
 
     def narrow(batch: pa.Table) -> pa.Table:
         et = batch.column("event_type").to_pylist()
@@ -5519,7 +5158,6 @@ def asof_event_join(
         u = batch.column("user_id").to_numpy(zero_copy_only=False)[keep]
         return pa.table(
             {
-                "bkt": pa.array((u % buckets).astype(np.int32)),
                 "u": pa.array(u.astype(np.int64)),
                 "tm": pc.cast(batch.column("ts"), pa.int64()).to_numpy(
                     zero_copy_only=False
@@ -5533,18 +5171,18 @@ def asof_event_join(
             }
         )
 
-    def asof(g: pd.DataFrame) -> pd.DataFrame:
+    def asof(ev: pd.DataFrame) -> pd.DataFrame:
         order = np.lexsort(
             (
-                g["eid"].to_numpy(np.int64),
-                g["tm"].to_numpy(np.int64),
-                g["u"].to_numpy(np.int64),
+                ev["eid"].to_numpy(np.int64),
+                ev["tm"].to_numpy(np.int64),
+                ev["u"].to_numpy(np.int64),
             )
         )
-        u = g["u"].to_numpy(np.int64)[order]
-        tm = g["tm"].to_numpy(np.int64)[order]
-        eid = g["eid"].to_numpy(np.int64)[order]
-        is_left = g["is_left"].to_numpy()[order]
+        u = ev["u"].to_numpy(np.int64)[order]
+        tm = ev["tm"].to_numpy(np.int64)[order]
+        eid = ev["eid"].to_numpy(np.int64)[order]
+        is_left = ev["is_left"].to_numpy()[order]
         # forward-fill the last RIGHT row's (tm, eid) within each user:
         # right rows carry their own index, left rows inherit the
         # previous one (strictly-before holds because a left row never
@@ -5565,12 +5203,10 @@ def asof_event_join(
             }
         ).astype(np.int64)
 
-    return (
-        _t(sf_dir, "events", ["event_id", "ts", "user_id", "event_type"])
-        .map_batches(narrow, batch_format="pyarrow", zero_copy_batch=True)
-        .groupby("bkt")
-        .map_groups(arrow_udf(asof), batch_format="pandas")
-    )
+    ev = _t(
+        sf_dir, "events", ["event_id", "ts", "user_id", "event_type"]
+    ).map_batches(narrow, batch_format="pyarrow", zero_copy_batch=True)
+    return co_group(asof, ev=(ev, "u"))
 
 
 def open_order_concurrency(sf_dir: str) -> rd.Dataset:
@@ -5581,14 +5217,13 @@ def open_order_concurrency(sf_dir: str) -> rd.Dataset:
     room-booking counting), expressed without an interval join: +1 at
     each start day, −1 past each end day, running sum in day order.
 
-    Scale shape: a coarse orderkey co-shuffle pairs each order's start
-    with its per-order max receipt day (line items pre-reduce per
-    batch, so the exchange carries ≤ one row per order per side); the
-    ±1 boundary deltas fold onto the BOUNDED day domain on the driver
-    and the cumsum is driver math over ~years×365 rows."""
+    Scale shape: one orderkey :func:`co_group` of the orders and
+    line-item sides pairs each order's start with its per-order max
+    receipt day (line items pre-reduce per batch, so the exchange
+    carries ≤ one row per order per side); the ±1 boundary deltas fold
+    onto the BOUNDED day domain on the driver and the cumsum is driver
+    math over ~years×365 rows."""
     import pandas as pd
-
-    buckets = 64
 
     def order_rows(batch: pa.Table) -> pa.Table:
         k = batch.column("o_orderkey").to_numpy(zero_copy_only=False)
@@ -5599,12 +5234,7 @@ def open_order_concurrency(sf_dir: str) -> rd.Dataset:
             // 86_400_000_000
         )
         return pa.table(
-            {
-                "bkt": pa.array((k % buckets).astype(np.int32)),
-                "k": pa.array(k.astype(np.int64)),
-                "d": pa.array(sd.astype(np.int64)),
-                "side": pa.array(np.zeros(len(k), np.int8)),
-            }
+            {"k": pa.array(k.astype(np.int64)), "d": pa.array(sd.astype(np.int64))}
         )
 
     def line_rows(batch: pa.Table) -> pa.Table:
@@ -5621,25 +5251,11 @@ def open_order_concurrency(sf_dir: str) -> rd.Dataset:
             .groupby("k", as_index=False)["d"]
             .max()
         )
-        n = len(df)
-        return pa.table(
-            {
-                "bkt": pa.array(
-                    (df["k"].to_numpy() % buckets).astype(np.int32)
-                ),
-                "k": pa.array(df["k"].to_numpy(np.int64)),
-                "d": pa.array(df["d"].to_numpy(np.int64)),
-                "side": pa.array(np.ones(n, np.int8)),
-            }
-        )
+        return pa.Table.from_pandas(df, preserve_index=False)
 
-    def deltas(g: pd.DataFrame) -> pd.DataFrame:
-        side = g["side"].to_numpy()
-        starts = g[side == 0]
-        ends = (
-            g[side == 1].groupby("k", as_index=False)["d"].max()
-        )
-        m = starts.merge(ends, on="k", suffixes=("_s", "_e"))
+    def deltas(orders: pd.DataFrame, lines: pd.DataFrame) -> pd.DataFrame:
+        ends = lines.groupby("k", as_index=False)["d"].max()
+        m = orders.merge(ends, on="k", suffixes=("_s", "_e"))
         ev = pd.concat(
             [
                 pd.DataFrame({"day": m["d_s"], "delta": 1}),
@@ -5649,16 +5265,14 @@ def open_order_concurrency(sf_dir: str) -> rd.Dataset:
         out = ev.groupby("day", as_index=False)["delta"].sum()
         return out.astype(np.int64)
 
+    orders = _t(sf_dir, "orders", ["o_orderkey", "o_orderdate"]).map_batches(
+        order_rows, batch_format="pyarrow", zero_copy_batch=True
+    )
+    lines = _t(sf_dir, "lineitem", ["l_orderkey", "l_shipdate"]).map_batches(
+        line_rows, batch_format="pyarrow", zero_copy_batch=True
+    )
     h = (
-        _t(sf_dir, "orders", ["o_orderkey", "o_orderdate"])
-        .map_batches(order_rows, batch_format="pyarrow", zero_copy_batch=True)
-        .union(
-            _t(sf_dir, "lineitem", ["l_orderkey", "l_shipdate"]).map_batches(
-                line_rows, batch_format="pyarrow", zero_copy_batch=True
-            )
-        )
-        .groupby("bkt")
-        .map_groups(arrow_udf(deltas), batch_format="pandas")
+        co_group(deltas, orders=(orders, "k"), lines=(lines, "k"))
         .to_pandas()
         .groupby("day", as_index=False)["delta"]
         .sum()

@@ -210,6 +210,69 @@ class TestCoGroup:
             pd.testing.assert_frame_equal(canon, other)
         self.seen[layout] = canon
 
+    @staticmethod
+    def _calls():
+        """A co_group fn emitting one row per call: the size and id sum
+        of its one side.  Nested so Ray ships it by value."""
+
+        def calls(**frames):
+            (df,) = frames.values()
+            return pd.DataFrame({"n": [len(df)], "s": [int(df["id"].sum())]})
+
+        return calls
+
+    @pytest.mark.parametrize("layout", ["default", "small_blocks"])
+    def test_keyless_side_runs_fn_once(
+        self, ray_session, quiet_data_context, request, layout
+    ):
+        import ray.data as rd
+
+        from pdf_parser_ray.pipelines.join import co_group
+
+        if layout == "small_blocks":
+            request.getfixturevalue("small_blocks")
+        ds = rd.range(20_000, override_num_blocks=8)
+        got = co_group(self._calls(), parts=(ds, None)).to_pandas()
+        assert list(got["n"]) == [20_000]
+        assert list(got["s"]) == [sum(range(20_000))]
+
+    @pytest.mark.parametrize("layout", ["default", "small_blocks"])
+    def test_empty_buckets_skip_fn(
+        self, ray_session, quiet_data_context, request, layout
+    ):
+        import numpy as np
+        import ray.data as rd
+
+        from pdf_parser_ray.pipelines.join import _key_bucket, co_group
+
+        if layout == "small_blocks":
+            request.getfixturevalue("small_blocks")
+        empty = rd.range(1000, override_num_blocks=4).map_batches(
+            lambda b: b.slice(0, 0), batch_format="pyarrow"
+        )
+        assert len(co_group(self._calls(), side=(empty, "id")).to_pandas()) == 0
+        # three keys fill at most three of the 64 buckets: fn runs only
+        # for those, never for an all-empty bucket
+        got = co_group(
+            self._calls(), side=(rd.range(3, override_num_blocks=1), "id")
+        ).to_pandas()
+        assert (got["n"] > 0).all() and int(got["n"].sum()) == 3
+        assert len(got) == len(set(_key_bucket(np.arange(3), 64)))
+
+    @pytest.mark.parametrize("layout", ["default", "small_blocks"])
+    def test_mixed_keyless_and_keyed_rejected(
+        self, ray_session, quiet_data_context, request, layout
+    ):
+        import ray.data as rd
+
+        from pdf_parser_ray.pipelines.join import co_group
+
+        if layout == "small_blocks":
+            request.getfixturevalue("small_blocks")
+        ds = rd.range(10)
+        with pytest.raises(ValueError):
+            co_group(self._calls(), a=(ds, None), b=(ds, "id"))
+
 
 class TestIVFIndex:
     def test_ivf_matches_lsh_probing(self, ray_session, quiet_data_context):

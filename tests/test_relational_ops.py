@@ -2089,3 +2089,19 @@ class TestValueFivenum:
                 int(row["min_c"]), int(row["q1_c"]), int(row["med_c"]),
                 int(row["q3_c"]), int(row["max_c"]), int(row["n_outliers"]),
             ) == (int(v[0]), q1, at(2, 4), q3, int(v[-1]), out)
+
+
+class TestRoutingGuard:
+    def test_no_hand_built_routing_columns(self):
+        """Every routing exchange in relational.py goes through
+        join.co_group: no hash-bucket or constant-key column is built
+        by hand to feed a groupby."""
+        import inspect
+        import re
+
+        from pdf_parser_ray.pipelines import relational
+
+        src = inspect.getsource(relational)
+        hits = re.findall(r'groupby\(\s*"(?:bkt|coarse|pbkt|fin)"\s*\)', src)
+        hits += re.findall(r"%\s*buckets\b|\bcoarse_buckets\b", src)
+        assert hits == []
