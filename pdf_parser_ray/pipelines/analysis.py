@@ -4,8 +4,9 @@ classification (the engine's scalar rules applied corpus-wide).
 
 All are single-pass ``map_batches`` stages (no shuffle) except the
 grouped aggregates, which pre-aggregate per batch before the small
-``groupby`` — the partial/combiner pattern that keeps the exchange tiny
-at 100 TB.
+exchange — the partial/combiner pattern that keeps the exchange tiny
+at 100 TB.  A hash-keyed group or a final combine goes through
+:func:`~.join.co_group`; a ``groupby`` keys only on a real column.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ import pyarrow.compute as pc
 import ray.data as rd
 
 from .io_util import arrow_udf, read_parquet_clean
-from ray.data.aggregate import Count, Sum
+from ray.data.aggregate import Sum
 
 from ..functions.directions import classify_direction
 
@@ -31,6 +32,110 @@ def _docs(sf_dir: str, columns: list[str]) -> rd.Dataset:
     path = os.path.join(sf_dir, "documents.parquet")
     return read_parquet_clean(
         path, columns=columns, override_num_blocks=_blocks_for(path)
+    )
+
+
+def _crc32s(strings: "list[str]") -> pa.Array:
+    """int64 crc32 per string: a co_group key that every worker
+    computes alike (builtin ``hash()`` of a str is salted per
+    process)."""
+    import zlib
+
+    import numpy as np
+
+    return pa.array(
+        np.fromiter((zlib.crc32(v.encode()) for v in strings), np.int64, len(strings))
+    )
+
+
+def _count_rows(c: "Counter", fields: "dict[str, pa.DataType]", key: str) -> pa.Table:
+    """A per-batch Counter as partial rows for a :func:`co_group`
+    keyed on ``h``: one column per field of the Counter's keys
+    (``fields``; a one-field Counter is keyed by the bare value), the
+    count ``n``, and ``h`` = crc32 of field ``key``, so every partial
+    of one ``key`` value meets in one bucket."""
+    import numpy as np
+
+    names = list(fields)
+    if not c:
+        cols: list = [[] for _ in names]
+    elif len(names) == 1:
+        cols = [list(c)]
+    else:
+        cols = [list(col) for col in zip(*c)]
+    out = {name: pa.array(col, fields[name]) for name, col in zip(names, cols)}
+    out["h"] = _crc32s(cols[names.index(key)])
+    out["n"] = pa.array(np.fromiter(c.values(), np.int64, count=len(c)))
+    return pa.table(out)
+
+
+def _word_counts(sf_dir: str) -> rd.Dataset:
+    """(word, n): exact corpus word counts — per-batch Counter partials
+    (vocabulary-sized, not token-sized) summed per word in one
+    word-keyed :func:`co_group`."""
+    from collections import Counter
+
+    from .join import co_group
+
+    def partials(batch: pa.Table) -> pa.Table:
+        c: Counter = Counter()
+        for text in batch.column("text").to_pylist():
+            c.update(text.split())
+        return _count_rows(c, {"word": pa.string()}, "word")
+
+    def total(parts: "pd.DataFrame") -> "pd.DataFrame":
+        return parts.groupby("word", as_index=False)["n"].sum()
+
+    parts = _docs(sf_dir, ["text"]).map_batches(
+        partials, batch_format="pyarrow", zero_copy_batch=True
+    )
+    return co_group(total, parts=(parts, "h"))
+
+
+def _word_candidates(counts: rd.Dataset, k: int) -> rd.Dataset:
+    """Each block of a (word, n) count table cut to its own top ``k`` by
+    (n DESC, word ASC): a global top-k word always wins its block, so a
+    final cut over these ≤ k × blocks rows is exact."""
+
+    def local_top(batch: pa.Table) -> pa.Table:
+        idx = pc.select_k_unstable(
+            batch, k, [("n", "descending"), ("word", "ascending")]
+        )
+        return batch.take(idx)
+
+    return counts.map_batches(local_top, batch_format="pyarrow", zero_copy_batch=True)
+
+
+def _top_words(counts: rd.Dataset, k: int) -> rd.Dataset:
+    """(word, n): the top ``k`` rows of a (word, n) count table by
+    (n DESC, word ASC), in that order — one keyless :func:`co_group`
+    over :func:`_word_candidates`."""
+    from .join import co_group
+
+    def cut(top: "pd.DataFrame") -> "pd.DataFrame":
+        top = top.sort_values(["n", "word"], ascending=[False, True])
+        return top.head(k).reset_index(drop=True)
+
+    return co_group(cut, top=(_word_candidates(counts, k), None))
+
+
+def _source_word_partials(sf_dir: str) -> rd.Dataset:
+    """Per-batch (source, word) Counter partials with ``h`` =
+    crc32(word): a word-keyed :func:`co_group` sees each word's exact
+    count in every source."""
+    from collections import Counter
+
+    def partials(batch: pa.Table) -> pa.Table:
+        c: Counter = Counter()
+        for s, t in zip(
+            batch.column("source").to_pylist(), batch.column("text").to_pylist()
+        ):
+            for w in t.split():
+                c[(s, w)] += 1
+        return _count_rows(c, {"source": pa.string(), "word": pa.string()}, "word")
+
+    return _docs(sf_dir, ["source", "text"]).map_batches(
+        partials, batch_format="pyarrow", zero_copy_batch=True
     )
 
 
@@ -1427,38 +1532,24 @@ def ccnet_buckets(
         .materialize()  # scored once; both rank passes read these blocks
     )
 
-    import zlib
+    from collections import Counter
 
     import pandas as pd
 
+    from .join import co_group
+
     def count_partials(batch: pa.Table) -> pa.Table:
-        df = pd.DataFrame(
-            {"gkey": batch.column("gkey").to_pandas()}
-        )
-        agg = df.groupby("gkey", sort=False).size().reset_index(name="n")
-        return pa.table(
-            {
-                "coarse": pa.array(
-                    [zlib.crc32(k.encode()) % 64 for k in agg["gkey"]],
-                    pa.int64(),
-                ),
-                "gkey": pa.array(agg["gkey"], pa.string()),
-                "n": pa.array(agg["n"].astype(np.int64)),
-            }
-        )
+        c = Counter(batch.column("gkey").to_pylist())
+        return _count_rows(c, {"gkey": pa.string()}, "gkey")
 
-    def combine(g: pd.DataFrame) -> pd.DataFrame:
-        agg = g.groupby("gkey", sort=True)["n"].sum().reset_index()
-        return agg.astype({"n": np.int64})
+    def combine(parts: pd.DataFrame) -> pd.DataFrame:
+        return parts.groupby("gkey", as_index=False)["n"].sum()
 
-    grid = (
-        narrow.map_batches(
-            count_partials, batch_format="pyarrow", zero_copy_batch=True
-        )
-        .groupby("coarse")
-        .map_groups(arrow_udf(combine), batch_format="pandas")
-        .to_pandas()  # <= langs × log-range buckets rows, constant
+    counts = narrow.map_batches(
+        count_partials, batch_format="pyarrow", zero_copy_batch=True
     )
+    # <= langs × log-range buckets rows, constant
+    grid = co_group(combine, parts=(counts, "h")).to_pandas()
     grid["lang"] = grid["gkey"].str.rsplit(":", n=1).str[0]
     grid["vb"] = grid["gkey"].str.rsplit(":", n=1).str[1].astype(np.int64)
     grid = grid.sort_values(["lang", "vb"])
@@ -1495,7 +1586,6 @@ def ccnet_buckets(
 # -- PMI collocations --------------------------------------------------------
 
 PMI_MIN_COUNT = 3
-_PMI_COARSE = 64
 
 
 def pmi_bigrams(sf_dir: str, k: int = 20) -> rd.Dataset:
@@ -1523,10 +1613,11 @@ def pmi_bigrams(sf_dir: str, k: int = 20) -> rd.Dataset:
     friends: the top-V cap there changes results; a co-shuffle here
     keeps PMI exact at any vocabulary size)."""
     import math
-    import zlib
     from collections import Counter
 
     import pandas as pd
+
+    from .join import co_group
 
     def partials(batch: pa.Table) -> pa.Table:
         uni: Counter = Counter()
@@ -1551,10 +1642,7 @@ def pmi_bigrams(sf_dir: str, k: int = 20) -> rd.Dataset:
                 ns.append(c)
         return pa.table(
             {
-                "coarse": pa.array(
-                    [zlib.crc32(w.encode()) % _PMI_COARSE for w in wkey],
-                    pa.int64(),
-                ),
+                "h": _crc32s(wkey),
                 "word": pa.array(wkey, pa.string()),
                 "role": pa.array(roles, pa.int8()),
                 "side": pa.array(sides, pa.int8()),
@@ -1594,13 +1682,10 @@ def pmi_bigrams(sf_dir: str, k: int = 20) -> rd.Dataset:
         p["n_bi_part"] = 0
         return pd.concat([p, tot], ignore_index=True)
 
-    sided = (
-        _docs(sf_dir, ["text"])
-        .map_batches(partials, batch_format="pyarrow", zero_copy_batch=True)
-        .groupby("coarse")
-        .map_groups(arrow_udf(join_words), batch_format="pandas")
-        .materialize()
+    parts = _docs(sf_dir, ["text"]).map_batches(
+        partials, batch_format="pyarrow", zero_copy_batch=True
     )
+    sided = co_group(join_words, df=(parts, "h")).materialize()
 
     def block_totals(batch: pa.Table) -> pa.Table:
         return pa.table(
@@ -1624,13 +1709,9 @@ def pmi_bigrams(sf_dir: str, k: int = 20) -> rd.Dataset:
         batch = batch.filter(
             pc.not_equal(batch.column("side"), pa.scalar(0, pa.int8()))
         )
-        bgs = batch.column("bigram").to_pylist()
         return pa.table(
             {
-                "coarse2": pa.array(
-                    [zlib.crc32(b.encode()) % _PMI_COARSE for b in bgs],
-                    pa.int64(),
-                ),
+                "h": _crc32s(batch.column("bigram").to_pylist()),
                 "bigram": batch.column("bigram"),
                 "side": batch.column("side"),
                 "n_xy": batch.column("n"),
@@ -1659,10 +1740,11 @@ def pmi_bigrams(sf_dir: str, k: int = 20) -> rd.Dataset:
         )
         return batch.take(idx)
 
+    halves = sided.map_batches(
+        bigram_key, batch_format="pyarrow", zero_copy_batch=True
+    )
     return (
-        sided.map_batches(bigram_key, batch_format="pyarrow", zero_copy_batch=True)
-        .groupby("coarse2")
-        .map_groups(arrow_udf(finish), batch_format="pandas")
+        co_group(finish, df=(halves, "h"))
         .map_batches(local_topk, batch_format="pyarrow", zero_copy_batch=True)
         .sort(["pmi_micros", "bigram"], descending=[True, False])
         .limit(k)
@@ -1679,43 +1761,14 @@ def vocab_coverage(sf_dir: str, v: int = VOCAB_TOP_V) -> "pd.DataFrame":
     vocabulary by (count DESC, word ASC) with cumulative token
     coverage — the artifact a tokenizer build starts from.
 
-    Scale shape: in-batch partial counts → one coarse-bucket groupby
-    (vocabulary-sized rows) → per-block local top-V prune → global
-    sort over ≤ V × blocks candidates → LIMIT V.  The corpus total
-    comes from per-block partial sums (the driver adds one int per
-    block).  Only the final V rows (bounded by definition) leave the
-    cluster; coverage is pure integer arithmetic (cum * 1e6 // total)
-    so the oracle hashes exactly."""
-    import zlib
-    from collections import Counter
-
-    import pandas as pd
-
-    def partials(batch: pa.Table) -> pa.Table:
-        c: Counter = Counter()
-        for text in batch.column("text").to_pylist():
-            c.update(text.split())
-        words = list(c.keys())
-        return pa.table(
-            {
-                "coarse": pa.array(
-                    [zlib.crc32(w.encode()) % 64 for w in words], pa.int64()
-                ),
-                "word": pa.array(words, pa.string()),
-                "n": pa.array(list(c.values()), pa.int64()),
-            }
-        )
-
-    def combine(df: pd.DataFrame) -> pd.DataFrame:
-        return df.groupby("word", as_index=False)["n"].sum()
-
-    counts = (
-        _docs(sf_dir, ["text"])
-        .map_batches(partials, batch_format="pyarrow", zero_copy_batch=True)
-        .groupby("coarse")
-        .map_groups(arrow_udf(combine), batch_format="pandas")
-        .materialize()
-    )
+    Scale shape: :func:`_word_counts` (vocabulary-sized rows) →
+    :func:`_top_words` (per-block local top-V prune, one keyless
+    :func:`co_group` cut over ≤ V × blocks candidates).  The corpus total comes from
+    per-block partial sums (the driver adds one int per block).  Only
+    the final V rows (bounded by definition) leave the cluster;
+    coverage is pure integer arithmetic (cum * 1e6 // total) so the
+    oracle hashes exactly."""
+    counts = _word_counts(sf_dir).materialize()
 
     def block_total(batch: pa.Table) -> pa.Table:
         n = batch.column("n").to_numpy(zero_copy_only=False)
@@ -1728,19 +1781,7 @@ def vocab_coverage(sf_dir: str, v: int = VOCAB_TOP_V) -> "pd.DataFrame":
         ).take_all()
     )
 
-    def local_topv(batch: pa.Table) -> pa.Table:
-        idx = pc.select_k_unstable(
-            batch, v, [("n", "descending"), ("word", "ascending")]
-        )
-        return batch.take(idx)
-
-    top = (
-        counts.map_batches(local_topv, batch_format="pyarrow", zero_copy_batch=True)
-        .sort(["n", "word"], descending=[True, False])
-        .limit(v)
-        .to_pandas()
-    )
-    top = top[["word", "n"]]
+    top = _top_words(counts, v).to_pandas()
     top.insert(0, "rank", range(1, len(top) + 1))
     top["cum_n"] = top["n"].cumsum()
     top["coverage_micros"] = top["cum_n"] * 1_000_000 // int(total)
@@ -1798,45 +1839,7 @@ def _bpe_training_vocab(sf_dir: str, cap: int) -> "pd.DataFrame":
     the training table for BPE (classic BPE trains on the weighted
     word VOCAB, not the token stream, so the only corpus-scale pass is
     this aggregation)."""
-    import zlib
-    from collections import Counter
-
-    import pandas as pd
-
-    def partials(batch: pa.Table) -> pa.Table:
-        c: Counter = Counter()
-        for text in batch.column("text").to_pylist():
-            c.update(text.split())
-        words = list(c.keys())
-        return pa.table(
-            {
-                "coarse": pa.array(
-                    [zlib.crc32(w.encode()) % 64 for w in words], pa.int64()
-                ),
-                "word": pa.array(words, pa.string()),
-                "n": pa.array(list(c.values()), pa.int64()),
-            }
-        )
-
-    def combine(df: pd.DataFrame) -> pd.DataFrame:
-        return df.groupby("word", as_index=False)["n"].sum()
-
-    def local_top(batch: pa.Table) -> pa.Table:
-        idx = pc.select_k_unstable(
-            batch, cap, [("n", "descending"), ("word", "ascending")]
-        )
-        return batch.take(idx)
-
-    return (
-        _docs(sf_dir, ["text"])
-        .map_batches(partials, batch_format="pyarrow", zero_copy_batch=True)
-        .groupby("coarse")
-        .map_groups(arrow_udf(combine), batch_format="pandas")
-        .map_batches(local_top, batch_format="pyarrow", zero_copy_batch=True)
-        .sort(["n", "word"], descending=[True, False])
-        .limit(cap)
-        .to_pandas()
-    )
+    return _top_words(_word_counts(sf_dir), cap).to_pandas()
 
 
 def bpe_merge_loop(
@@ -1948,9 +1951,6 @@ def bpe_segment_counts(sf_dir: str, n_merges: int = BPE_MERGES) -> rd.Dataset:
 
 # -- pairwise source similarity over word-frequency vectors ------------------
 
-#: shuffle fan-out for the word-keyed pair-partial exchange
-_VOCAB_BUCKETS = 64
-
 
 def source_vocab_overlap(sf_dir: str) -> rd.Dataset:
     """(source_a, source_b, sum_min, n_a, n_b, ruzicka_micros): pairwise
@@ -1965,58 +1965,29 @@ def source_vocab_overlap(sf_dir: str) -> rd.Dataset:
     word are omitted (no SQL row either).  ``ruzicka_micros`` is the
     integer floor of 1e6·min/max — exact on both sides.
 
-    Scale shape: per-batch (word, source) count partials (vocabulary-
-    sized, not token-sized) co-shuffle on hash(word) so each word's
-    full count vector lands in one bucket; the bucket's pandas
+    Scale shape: :func:`_source_word_partials` (vocabulary-sized, not
+    token-sized) go through one word-keyed :func:`co_group`, so each
+    word's full count vector lands in one bucket; the bucket's pandas
     self-merge emits ≤ |sources|² partial pair rows plus per-source
     total partials (multiplexed — no second text pass), and ONE
-    constant-key combine folds ≤ buckets·(pairs+sources) narrow rows.
-    Quadratic only in |sources| (inherent to all-pairs output), linear
-    in corpus size."""
-    from collections import Counter
-
+    keyless :func:`co_group` folds ≤ buckets·(pairs+sources) narrow
+    rows.  Quadratic only in |sources| (inherent to all-pairs output),
+    linear in corpus size."""
     import numpy as np
     import pandas as pd
 
-    from .io_util import coarse_key
+    from .join import co_group
 
-    def word_partials(batch: pa.Table) -> pa.Table:
-        counts: Counter = Counter()
-        sources = batch.column("source").to_pylist()
-        for src, text in zip(sources, batch.column("text").to_pylist()):
-            for w in text.split():
-                counts[(w, src)] += 1
-        if not counts:
-            return pa.table(
-                {
-                    "bkt": pa.array([], pa.int32()),
-                    "w": pa.array([], pa.string()),
-                    "source": pa.array([], pa.string()),
-                    "c": pa.array([], pa.int64()),
-                }
-            )
-        keys, ns = zip(*counts.items())
-        words = [k[0] for k in keys]
-        return pa.table(
-            {
-                "bkt": pa.array(coarse_key(words, _VOCAB_BUCKETS)),
-                "w": pa.array(words, pa.string()),
-                "source": pa.array([k[1] for k in keys], pa.string()),
-                "c": pa.array(ns, pa.int64()),
-            }
-        )
-
-    def pair_partials(g: pd.DataFrame) -> pd.DataFrame:
+    def pair_partials(parts: pd.DataFrame) -> pd.DataFrame:
         # combine cross-batch partials: exact per-(word, source) counts
-        f = g.groupby(["w", "source"], as_index=False)["c"].sum()
-        solo = f.groupby("source", as_index=False)["c"].sum()
-        m = f.merge(f, on="w")
+        f = parts.groupby(["word", "source"], as_index=False)["n"].sum()
+        solo = f.groupby("source", as_index=False)["n"].sum()
+        m = f.merge(f, on="word")
         m = m[m["source_x"] < m["source_y"]]
-        m["mn"] = np.minimum(m["c_x"], m["c_y"])
+        m["mn"] = np.minimum(m["n_x"], m["n_y"])
         p = m.groupby(["source_x", "source_y"], as_index=False)["mn"].sum()
         out = pd.DataFrame(
             {
-                "k": np.zeros(len(p) + len(solo), np.int8),
                 "sa": pd.concat(
                     [p["source_x"], solo["source"]], ignore_index=True
                 ),
@@ -2024,15 +1995,15 @@ def source_vocab_overlap(sf_dir: str) -> rd.Dataset:
                     [p["source_y"], pd.Series([""] * len(solo))],
                     ignore_index=True,
                 ),
-                "v": pd.concat([p["mn"], solo["c"]], ignore_index=True),
+                "v": pd.concat([p["mn"], solo["n"]], ignore_index=True),
             }
         )
         out["v"] = out["v"].astype(np.int64)
         return out
 
-    def combine(g: pd.DataFrame) -> pd.DataFrame:
-        solo = g[g["sb"] == ""].groupby("sa")["v"].sum()
-        p = g[g["sb"] != ""].groupby(["sa", "sb"], as_index=False)["v"].sum()
+    def combine(pairs: pd.DataFrame) -> pd.DataFrame:
+        solo = pairs[pairs["sb"] == ""].groupby("sa")["v"].sum()
+        p = pairs[pairs["sb"] != ""].groupby(["sa", "sb"], as_index=False)["v"].sum()
         n_a = solo.loc[p["sa"]].to_numpy(np.int64)
         n_b = solo.loc[p["sb"]].to_numpy(np.int64)
         smin = p["v"].to_numpy(np.int64)
@@ -2047,14 +2018,8 @@ def source_vocab_overlap(sf_dir: str) -> rd.Dataset:
             }
         )
 
-    return (
-        _docs(sf_dir, ["source", "text"])
-        .map_batches(word_partials, batch_format="pyarrow", zero_copy_batch=True)
-        .groupby("bkt")
-        .map_groups(arrow_udf(pair_partials), batch_format="pandas")
-        .groupby("k")
-        .map_groups(arrow_udf(combine), batch_format="pandas")
-    )
+    pairs = co_group(pair_partials, parts=(_source_word_partials(sf_dir), "h"))
+    return co_group(combine, pairs=(pairs, None))
 
 
 # -- inter-document n-gram novelty --------------------------------------------
@@ -2072,12 +2037,13 @@ def gram_novelty(sf_dir: str) -> rd.Dataset:
     Scale shape: grams never leave workers as strings.  Each batch
     emits per-doc distinct gram HASHES (the memoized word-hash +
     odd-multiplier rolling combine minhash already uses — O(words)
-    digests, vectorized combine), keyed by gram-hash bucket; each
-    bucket owns its grams wholly, so min-doc_id and per-doc partial
-    (n_grams, n_novel) counts are exact in ONE exchange of 16-byte
-    rows.  A doc-bucket-keyed second exchange folds the ≤ docs × K
-    partials (plus one zero row per document so gram-less short docs
-    still appear, mirroring the SQL LEFT JOIN).  The gram hash is
+    digests, vectorized combine) plus one zero row per document (so
+    gram-less short docs still appear, mirroring the SQL LEFT JOIN),
+    keyed by the gram hash (a zero row by its doc_id) in one
+    :func:`co_group`; each bucket owns its grams wholly, so min-doc_id
+    and per-doc partial (n_grams, n_novel) counts are exact in ONE
+    exchange of 16-byte rows.  A doc-keyed second :func:`co_group`
+    folds the ≤ docs × K partials.  The gram hash is
     64-bit (same collision bound as the shuffle key: ~n²/2⁶⁵ — the
     sf0.01 oracle hash-match evidences collision-free test corpora);
     the hash never reaches the output, the oracle groups gram TEXT."""
@@ -2085,13 +2051,12 @@ def gram_novelty(sf_dir: str) -> rd.Dataset:
     import pandas as pd
 
     from .dedup import _SHINGLE_C1, _SHINGLE_C2, _stable64
-
-    buckets = 256
+    from .join import co_group
 
     def gram_rows(batch: pa.Table) -> pa.Table:
         word_cache: dict[str, int] = {}
         ids = batch.column("doc_id").to_numpy(zero_copy_only=False)
-        out_bkt, out_gh, out_doc = [], [], []
+        out_gh, out_doc = [], []
         n = NOVELTY_NGRAM
         for doc_id, text in zip(ids, batch.column("text").to_pylist()):
             words = text.split()
@@ -2121,18 +2086,11 @@ def gram_novelty(sf_dir: str) -> rd.Dataset:
         doc = (
             np.concatenate(out_doc) if out_doc else np.zeros(0, np.int64)
         )
-        # one zero-partial row per doc so gram-less docs still appear
+        # one zero row per doc, keyed by its doc_id in the gh column,
+        # so gram-less docs still appear
         zrow_doc = ids.astype(np.int64)
         return pa.table(
             {
-                "bkt": pa.array(
-                    np.concatenate(
-                        [(gh % buckets).astype(np.int32),
-                         # zero rows spread over the NEGATIVE bucket range
-                         # so they never hot-spot one reducer
-                         (-1 - (zrow_doc % buckets)).astype(np.int32)]
-                    )
-                ),
                 "gh": pa.array(np.concatenate([gh, zrow_doc]), pa.int64()),
                 "doc_id": pa.array(
                     np.concatenate([doc, zrow_doc]), pa.int64()
@@ -2146,45 +2104,30 @@ def gram_novelty(sf_dir: str) -> rd.Dataset:
             }
         )
 
-    def bucket_partials(g: pd.DataFrame) -> pd.DataFrame:
-        if (g["z"] == 1).any():
-            # the zero-row bucket: one (doc, 0, 0) partial per doc
-            d = g["doc_id"].to_numpy(np.int64)
-            z = np.zeros(len(d), np.int64)
-            return pd.DataFrame(
-                {"dbkt": (d % buckets).astype(np.int32), "doc_id": d,
-                 "n_grams": z, "n_novel": z}
-            )
-        first = g.groupby("gh")["doc_id"].transform("min").to_numpy(np.int64)
-        doc = g["doc_id"].to_numpy(np.int64)
+    def bucket_partials(rows: pd.DataFrame) -> pd.DataFrame:
+        gram = rows["z"].to_numpy() == 0
+        grams = rows[gram]
+        first = grams.groupby("gh")["doc_id"].transform("min").to_numpy(np.int64)
+        novel = np.zeros(len(rows), np.int64)
+        novel[gram] = grams["doc_id"].to_numpy(np.int64) == first
         df = pd.DataFrame(
-            {"doc_id": doc, "novel": (doc == first).astype(np.int64)}
-        )
-        out = df.groupby("doc_id", as_index=False).agg(
-            n_grams=("novel", "size"), n_novel=("novel", "sum")
-        )
-        d = out["doc_id"].to_numpy(np.int64)
-        return pd.DataFrame(
             {
-                "dbkt": (d % buckets).astype(np.int32),
-                "doc_id": d,
-                "n_grams": out["n_grams"].to_numpy(np.int64),
-                "n_novel": out["n_novel"].to_numpy(np.int64),
+                "doc_id": rows["doc_id"].to_numpy(np.int64),
+                "n_grams": gram.astype(np.int64),
+                "n_novel": novel,
             }
         )
+        return df.groupby("doc_id", as_index=False).sum()
 
-    def doc_combine(g: pd.DataFrame) -> pd.DataFrame:
-        out = g.groupby("doc_id", as_index=False)[["n_grams", "n_novel"]].sum()
+    def doc_combine(parts: pd.DataFrame) -> pd.DataFrame:
+        out = parts.groupby("doc_id", as_index=False)[["n_grams", "n_novel"]].sum()
         return out.astype(np.int64)
 
-    return (
-        _docs(sf_dir, ["doc_id", "text"])
-        .map_batches(gram_rows, batch_format="pyarrow", zero_copy_batch=True)
-        .groupby("bkt")
-        .map_groups(arrow_udf(bucket_partials), batch_format="pandas")
-        .groupby("dbkt")
-        .map_groups(arrow_udf(doc_combine), batch_format="pandas")
+    rows = _docs(sf_dir, ["doc_id", "text"]).map_batches(
+        gram_rows, batch_format="pyarrow", zero_copy_batch=True
     )
+    parts = co_group(bucket_partials, rows=(rows, "gh"))
+    return co_group(doc_combine, parts=(parts, "doc_id"))
 
 
 # -- exact global top-k words --------------------------------------------------
@@ -2198,66 +2141,15 @@ def top_words(sf_dir: str, k: int = TOP_WORDS_K) -> rd.Dataset:
     counts — the exact counterpart of the CMS-based ``heavy_hitters``
     sketch, ties broken by word ascending (deterministic cut).
 
-    Scale shape: each batch collapses to its own word counts (one
-    Counter over the batch — vocabulary-sized, not token-sized), the
-    exchange carries (word, n) partials keyed by hash(word) so totals
-    are exact in-bucket, each bucket keeps its LOCAL top-k (a global
-    winner always wins its bucket — the salted two-stage top-k), and a
-    constant-key combine cuts the final k from ≤ buckets·k rows.  A
-    skewed hot word costs nothing extra: its partials are pre-summed
-    per batch, so the hot bucket sees blocks, not occurrences."""
-    from collections import Counter
-
-    import numpy as np
-    import pandas as pd
-
-    buckets = 64
-
-    from .dedup import _stable64
-
-    def partial_counts(batch: pa.Table) -> pa.Table:
-        c: Counter = Counter()
-        for text in batch.column("text").to_pylist():
-            c.update(text.split())
-        words = list(c.keys())
-        # _stable64, NOT builtin hash(): str hashing is per-process
-        # salted, and bucket keys must agree across Ray workers
-        h = np.fromiter(
-            (_stable64(w) for w in words), dtype=np.uint64, count=len(words)
-        ).view(np.int64)
-        return pa.table(
-            {
-                "bkt": pa.array((h % buckets).astype(np.int32)),
-                "word": pa.array(words, pa.string()),
-                "n": pa.array(
-                    np.fromiter(c.values(), np.int64, count=len(words))
-                ),
-            }
-        )
-
-    def local_topk(g: pd.DataFrame) -> pd.DataFrame:
-        t = g.groupby("word", as_index=False)["n"].sum()
-        t = t.sort_values(
-            ["n", "word"], ascending=[False, True], kind="stable"
-        ).head(k)
-        t.insert(0, "fin", np.zeros(len(t), np.int8))
-        t["n"] = t["n"].astype(np.int64)
-        return t
-
-    def final_topk(g: pd.DataFrame) -> pd.DataFrame:
-        t = g.sort_values(
-            ["n", "word"], ascending=[False, True], kind="stable"
-        ).head(k)
-        return t[["word", "n"]].reset_index(drop=True)
-
-    return (
-        _docs(sf_dir, ["text"])
-        .map_batches(partial_counts, batch_format="pyarrow", zero_copy_batch=True)
-        .groupby("bkt")
-        .map_groups(arrow_udf(local_topk), batch_format="pandas")
-        .groupby("fin")
-        .map_groups(arrow_udf(final_topk), batch_format="pandas")
-    )
+    Scale shape: :func:`_word_counts` — each batch collapses to its
+    own word counts (vocabulary-sized, not token-sized) and one
+    word-keyed :func:`co_group` makes totals exact — then
+    :func:`_top_words`: each block keeps its LOCAL top-k (a global
+    winner always wins its block — the salted two-stage top-k) and one
+    keyless :func:`co_group` cuts the final k.  A skewed hot word costs
+    nothing extra: its partials are pre-summed per batch, so the hot
+    bucket sees blocks, not occurrences."""
+    return _top_words(_word_counts(sf_dir), k)
 
 
 # -- distributed percent_rank of document length per source --------------------
@@ -2274,16 +2166,17 @@ def length_percentiles(sf_dir: str) -> rd.Dataset:
     ``ccnet_buckets`` with n_chars ITSELF as the grid value (no log
     bucketing needed — the (source, n_chars) count grid is bounded by
     sources × distinct lengths, constant at any corpus size).  Pass 1
-    folds per-batch grid partials to a driver-side cumulative-offset
-    map, broadcast once; pass 2 co-shuffles narrow (doc_id, source,
+    folds per-batch grid partials in one n_chars-keyed
+    :func:`co_group` to a driver-side cumulative-offset map, broadcast
+    once; pass 2 co-shuffles narrow (doc_id, source,
     n_chars) rows on the (source, n_chars) tie-group key — equal keys
     land whole, so the within-tie doc_id sort is exact — and emits
     rank = offset + position."""
-    import zlib
-
     import numpy as np
     import pandas as pd
     import ray
+
+    from .join import co_group
 
     def grid_partials(batch: pa.Table) -> pa.Table:
         df = pd.DataFrame(
@@ -2297,30 +2190,21 @@ def length_percentiles(sf_dir: str) -> rd.Dataset:
         )
         return pa.table(
             {
-                "coarse": pa.array(
-                    [
-                        zlib.crc32(f"{s}:{c}".encode()) % 64
-                        for s, c in zip(agg["source"], agg["n_chars"])
-                    ],
-                    pa.int64(),
-                ),
                 "source": pa.array(agg["source"], pa.string()),
                 "n_chars": pa.array(agg["n_chars"].to_numpy(np.int64)),
                 "n": pa.array(agg["n"].to_numpy(np.int64)),
             }
         )
 
-    def grid_combine(g: pd.DataFrame) -> pd.DataFrame:
-        agg = g.groupby(["source", "n_chars"], as_index=False)["n"].sum()
+    def grid_combine(parts: pd.DataFrame) -> pd.DataFrame:
+        agg = parts.groupby(["source", "n_chars"], as_index=False)["n"].sum()
         return agg.astype({"n_chars": np.int64, "n": np.int64})
 
-    grid = (
-        _docs(sf_dir, ["source", "n_chars"])
-        .map_batches(grid_partials, batch_format="pyarrow", zero_copy_batch=True)
-        .groupby("coarse")
-        .map_groups(arrow_udf(grid_combine), batch_format="pandas")
-        .to_pandas()  # <= sources × distinct lengths rows, constant
+    parts = _docs(sf_dir, ["source", "n_chars"]).map_batches(
+        grid_partials, batch_format="pyarrow", zero_copy_batch=True
     )
+    # <= sources × distinct lengths rows, constant
+    grid = co_group(grid_combine, parts=(parts, "n_chars")).to_pandas()
     grid = grid.sort_values(["source", "n_chars"])
     csum = grid.groupby("source", sort=False)["n"].cumsum().to_numpy()
     offsets = {
@@ -2389,17 +2273,16 @@ def profile_documents(sf_dir: str) -> rd.Dataset:
     emits per-column DISTINCT value hashes (64-bit stable blake2b over
     a canonical string form — values never shuffle raw, the text
     column's payload stays on the worker) plus one per-column null-
-    count partial row; buckets own (col, hash) slots wholly, so
-    distinct counts are exact; the combine folds ≤ buckets × cols
-    rows.  Hash collisions would undercount distincts by ~n²/2⁶⁵ —
-    the sf0.01 oracle hash-match evidences collision-free profiling
-    at test scale."""
+    count partial row; a :func:`co_group` keyed on the hash gives each
+    bucket its (col, hash) slots wholly, so distinct counts are exact;
+    the combine folds ≤ buckets × cols rows.  Hash collisions would
+    undercount distincts by ~n²/2⁶⁵ — the sf0.01 oracle hash-match
+    evidences collision-free profiling at test scale."""
     import numpy as np
     import pandas as pd
 
     from .dedup import _stable64
-
-    buckets = 64
+    from .join import co_group
 
     def partials(batch: pa.Table) -> pa.Table:
         cols, hs, nulls = [], [], []
@@ -2418,16 +2301,15 @@ def profile_documents(sf_dir: str) -> rd.Dataset:
         flat = np.concatenate(hs) if hs else np.zeros(0, np.int64)
         return pa.table(
             {
-                "bkt": pa.array((flat % buckets).astype(np.int32)),
                 "col": pa.array(cols, pa.string()),
                 "h": pa.array(flat, pa.int64()),
                 "n_null": pa.array(np.array(nulls, np.int64)),
             }
         )
 
-    def bucket_fold(g: pd.DataFrame) -> pd.DataFrame:
+    def bucket_fold(parts: pd.DataFrame) -> pd.DataFrame:
         rows = []
-        for col, gg in g.groupby("col"):
+        for col, gg in parts.groupby("col"):
             vals = gg[gg["h"] != -1]["h"].nunique()
             rows.append((col, int(gg["n_null"].sum()), int(vals)))
         return pd.DataFrame(
@@ -2443,11 +2325,11 @@ def profile_documents(sf_dir: str) -> rd.Dataset:
             }
         )
 
+    parts = _docs(sf_dir, list(PROFILE_COLUMNS)).map_batches(
+        partials, batch_format="pyarrow", zero_copy_batch=True
+    )
     return (
-        _docs(sf_dir, list(PROFILE_COLUMNS))
-        .map_batches(partials, batch_format="pyarrow", zero_copy_batch=True)
-        .groupby("bkt")
-        .map_groups(arrow_udf(bucket_fold), batch_format="pandas")
+        co_group(bucket_fold, parts=(parts, "h"))
         .groupby("col")
         .map_groups(arrow_udf(combine), batch_format="pandas")
     )
@@ -2476,13 +2358,15 @@ def rrf_fusion(sf_dir: str) -> rd.Dataset:
     term-frequency vectors (the BM25 broadcast stats, len(query)+2
     ints); each batch keeps only its local top-R per ranking on the
     global sort key (score DESC, doc_id ASC) — a global winner always
-    wins its batch — and one constant-key reducer ranks the
+    wins its batch — and one keyless :func:`co_group` ranks the
     ≤ 2·R·blocks candidate rows and fuses.  The corpus never shuffles;
     the reducer input is bounded by R, not the corpus."""
     import math
 
     import numpy as np
     import pandas as pd
+
+    from .join import co_group
 
     n_docs, n_words_total, dfs = fit_bm25_stats(sf_dir)
     avgdl_milli = (1000 * n_words_total) // n_docs
@@ -2518,7 +2402,6 @@ def rrf_fusion(sf_dir: str) -> rd.Dataset:
         i1, s1 = _local_cut(ids, plain)
         return pa.table(
             {
-                "fin": pa.array(np.zeros(len(i0) + len(i1), np.int8)),
                 "lst": pa.array(
                     np.concatenate(
                         [np.zeros(len(i0), np.int8), np.ones(len(i1), np.int8)]
@@ -2529,10 +2412,10 @@ def rrf_fusion(sf_dir: str) -> rd.Dataset:
             }
         )
 
-    def fuse(g: pd.DataFrame) -> pd.DataFrame:
+    def fuse(tops: pd.DataFrame) -> pd.DataFrame:
         ranks = {}
         for lst in (0, 1):
-            part = g[g["lst"] == lst]
+            part = tops[tops["lst"] == lst]
             order = np.lexsort(
                 (part["doc_id"].to_numpy(np.int64),
                  -part["score"].to_numpy(np.int64))
@@ -2559,12 +2442,10 @@ def rrf_fusion(sf_dir: str) -> rd.Dataset:
         )
         return out.astype(np.int64)
 
-    return (
-        _docs(sf_dir, ["doc_id", "text"])
-        .map_batches(local_tops, batch_format="pyarrow", zero_copy_batch=True)
-        .groupby("fin")
-        .map_groups(arrow_udf(fuse), batch_format="pandas")
+    tops = _docs(sf_dir, ["doc_id", "text"]).map_batches(
+        local_tops, batch_format="pyarrow", zero_copy_batch=True
     )
+    return co_group(fuse, tops=(tops, None))
 
 
 # -- Zipf law fit over the head of the word-frequency distribution ------------
@@ -2589,47 +2470,16 @@ def zipf_fit(sf_dir: str, v: int = ZIPF_TOP_V) -> rd.Dataset:
     division truncates toward zero (DuckDB ``//``), so the fit is
     order-free and hash-stable.
 
-    Scale shape: identical two-stage exact top-k as :func:`top_words`
-    (per-batch word counts → word-hash buckets → local top-v →
-    constant-key cut); the OLS itself runs on v rows."""
-    from collections import Counter
-
+    Scale shape: top_words' exact top-v (:func:`_word_counts` →
+    :func:`_word_candidates`) cut and fitted in one keyless
+    :func:`co_group`; the OLS itself runs on v rows."""
     import numpy as np
     import pandas as pd
 
-    from .dedup import _stable64
+    from .join import co_group
 
-    buckets = 64
-
-    def partial_counts(batch: pa.Table) -> pa.Table:
-        c: Counter = Counter()
-        for text in batch.column("text").to_pylist():
-            c.update(text.split())
-        words = list(c.keys())
-        h = np.fromiter(
-            (_stable64(w) for w in words), dtype=np.uint64, count=len(words)
-        ).view(np.int64)
-        return pa.table(
-            {
-                "bkt": pa.array((h % buckets).astype(np.int32)),
-                "word": pa.array(words, pa.string()),
-                "n": pa.array(
-                    np.fromiter(c.values(), np.int64, count=len(words))
-                ),
-            }
-        )
-
-    def local_topv(g: pd.DataFrame) -> pd.DataFrame:
-        t = g.groupby("word", as_index=False)["n"].sum()
-        t = t.sort_values(
-            ["n", "word"], ascending=[False, True], kind="stable"
-        ).head(v)
-        t.insert(0, "fin", np.zeros(len(t), np.int8))
-        t["n"] = t["n"].astype(np.int64)
-        return t
-
-    def fit(g: pd.DataFrame) -> pd.DataFrame:
-        t = g.sort_values(
+    def fit(top: pd.DataFrame) -> pd.DataFrame:
+        t = top.sort_values(
             ["n", "word"], ascending=[False, True], kind="stable"
         ).head(v)
         counts = t["n"].to_numpy(np.int64)
@@ -2658,14 +2508,7 @@ def zipf_fit(sf_dir: str, v: int = ZIPF_TOP_V) -> rd.Dataset:
             }
         )
 
-    return (
-        _docs(sf_dir, ["text"])
-        .map_batches(partial_counts, batch_format="pyarrow", zero_copy_batch=True)
-        .groupby("bkt")
-        .map_groups(arrow_udf(local_topv), batch_format="pandas")
-        .groupby("fin")
-        .map_groups(arrow_udf(fit), batch_format="pandas")
-    )
+    return co_group(fit, top=(_word_candidates(_word_counts(sf_dir), v), None))
 
 
 # -- type-token ratio ----------------------------------------------------------
@@ -2771,43 +2614,17 @@ def hapax_stats(sf_dir: str) -> rd.Dataset:
     (a collapsing hapax share flags heavy duplication; an exploding one
     flags OCR noise / tokenizer breakage).
 
-    Scale shape: per-batch (source, word) Counter partials keyed by
-    word hash so each bucket owns its words' EXACT totals; buckets emit
-    one (source, vocab, hapax) partial each, and the per-source combine
-    folds ≤ buckets rows per source."""
-    from collections import Counter
-
+    Scale shape: :func:`_source_word_partials` through one word-keyed
+    :func:`co_group`, so each bucket owns its words' EXACT totals;
+    buckets emit one (source, vocab, hapax) partial each, and the
+    per-source combine folds ≤ buckets rows per source."""
     import numpy as np
     import pandas as pd
 
-    from .dedup import _stable64
+    from .join import co_group
 
-    buckets = 64
-
-    def partial_counts(batch: pa.Table) -> pa.Table:
-        c: Counter = Counter()
-        srcs = batch.column("source").to_pylist()
-        texts = batch.column("text").to_pylist()
-        for s, t in zip(srcs, texts):
-            for w in t.split():
-                c[(s, w)] += 1
-        keys = list(c.keys())
-        h = np.fromiter(
-            (_stable64(w) for _, w in keys), dtype=np.uint64, count=len(keys)
-        ).view(np.int64)
-        return pa.table(
-            {
-                "bkt": pa.array((h % buckets).astype(np.int32)),
-                "source": pa.array([s for s, _ in keys], pa.string()),
-                "word": pa.array([w for _, w in keys], pa.string()),
-                "n": pa.array(
-                    np.fromiter(c.values(), np.int64, count=len(keys))
-                ),
-            }
-        )
-
-    def bucket_fold(g: pd.DataFrame) -> pd.DataFrame:
-        t = g.groupby(["source", "word"], as_index=False)["n"].sum()
+    def bucket_fold(parts: pd.DataFrame) -> pd.DataFrame:
+        t = parts.groupby(["source", "word"], as_index=False)["n"].sum()
         out = t.groupby("source").agg(
             n_vocab=("n", "size"), n_hapax=("n", lambda s: int((s == 1).sum()))
         ).reset_index()
@@ -2831,10 +2648,7 @@ def hapax_stats(sf_dir: str) -> rd.Dataset:
         )
 
     return (
-        _docs(sf_dir, ["source", "text"])
-        .map_batches(partial_counts, batch_format="pyarrow", zero_copy_batch=True)
-        .groupby("bkt")
-        .map_groups(arrow_udf(bucket_fold), batch_format="pandas")
+        co_group(bucket_fold, parts=(_source_word_partials(sf_dir), "h"))
         .groupby("source")
         .map_groups(arrow_udf(combine), batch_format="pandas")
     )
@@ -2913,19 +2727,18 @@ def source_kl_divergence(sf_dir: str) -> rd.Dataset:
     Scale shape: pass A folds per-batch (source, n_tokens) partials to
     a source-cardinality dict (bounded by the source domain — a
     broadcast by definition, like decontaminate's eval grams); pass B
-    reuses hapax_stats' (source, word) Counter partials keyed by word
-    hash, so each bucket owns its words' EXACT global counts c_w and
-    can compute every per-word log locally — no vocabulary broadcast,
-    no driver state; buckets emit one (source, kl_part) row each and
-    the per-source combine folds ≤ buckets rows."""
+    runs hapax_stats' word-keyed :func:`co_group` of
+    :func:`_source_word_partials`, so each bucket owns its words' EXACT
+    global counts c_w and can compute every per-word log locally — no
+    vocabulary broadcast, no driver state; buckets emit one (source,
+    kl_part) row each and the per-source combine folds ≤ buckets
+    rows."""
     from collections import Counter
 
     import numpy as np
     import pandas as pd
 
-    from .dedup import _stable64
-
-    buckets = 64
+    from .join import co_group
 
     def tok_partials(batch: pa.Table) -> pa.Table:
         c: Counter = Counter()
@@ -2952,30 +2765,8 @@ def source_kl_divergence(sf_dir: str) -> rd.Dataset:
     n_s = {s: int(v) for s, v in tot.items()}
     n_total = float(sum(n_s.values()))
 
-    def partial_counts(batch: pa.Table) -> pa.Table:
-        c: Counter = Counter()
-        for s, t in zip(
-            batch.column("source").to_pylist(), batch.column("text").to_pylist()
-        ):
-            for w in t.split():
-                c[(s, w)] += 1
-        keys = list(c.keys())
-        h = np.fromiter(
-            (_stable64(w) for _, w in keys), dtype=np.uint64, count=len(keys)
-        ).view(np.int64)
-        return pa.table(
-            {
-                "bkt": pa.array((h % buckets).astype(np.int32)),
-                "source": pa.array([s for s, _ in keys], pa.string()),
-                "word": pa.array([w for _, w in keys], pa.string()),
-                "n": pa.array(
-                    np.fromiter(c.values(), np.int64, count=len(keys))
-                ),
-            }
-        )
-
-    def bucket_fold(g: pd.DataFrame) -> pd.DataFrame:
-        t = g.groupby(["source", "word"], as_index=False)["n"].sum()
+    def bucket_fold(parts: pd.DataFrame) -> pd.DataFrame:
+        t = parts.groupby(["source", "word"], as_index=False)["n"].sum()
         cw = t.groupby("word")["n"].transform("sum").to_numpy(np.float64)
         k = t["n"].to_numpy(np.float64)
         ns = t["source"].map(n_s).to_numpy(np.float64)
@@ -3005,10 +2796,7 @@ def source_kl_divergence(sf_dir: str) -> rd.Dataset:
         )
 
     return (
-        _docs(sf_dir, ["source", "text"])
-        .map_batches(partial_counts, batch_format="pyarrow", zero_copy_batch=True)
-        .groupby("bkt")
-        .map_groups(arrow_udf(bucket_fold), batch_format="pandas")
+        co_group(bucket_fold, parts=(_source_word_partials(sf_dir), "h"))
         .groupby("source")
         .map_groups(arrow_udf(combine), batch_format="pandas")
     )
@@ -3724,16 +3512,15 @@ def prefix_dup_groups(sf_dir: str, k: int = PREFIX_WORDS) -> rd.Dataset:
     (the simhash/rolling_fingerprint family) of the space-joined
     prefix, so the DuckDB oracle recomputes it exactly.
 
-    Scale shape: one narrow (hash, doc_id) exchange on a coarse bucket
-    of the hash; per-bucket count/min is a vectorized pandas combine.
+    Scale shape: one narrow (hash, doc_id) :func:`co_group` keyed on
+    the hash; per-bucket count/min is a vectorized pandas combine.
     Nothing but 16 words per doc is ever hashed — the text column is
     read once and never shuffled."""
     import numpy as np
     import pandas as pd
 
     from .dedup import _SIMHASH_HASH_BASE, _SIMHASH_HASH_MOD
-
-    buckets = 64
+    from .join import co_group
 
     def narrow(batch: pa.Table) -> pa.Table:
         ids = batch.column("doc_id").to_numpy(zero_copy_only=False)
@@ -3747,25 +3534,22 @@ def prefix_dup_groups(sf_dir: str, k: int = PREFIX_WORDS) -> rd.Dataset:
         hv = np.array(hashes, np.int64)
         return pa.table(
             {
-                "bkt": pa.array((hv % buckets).astype(np.int32)),
                 "prefix_hash": pa.array(hv),
                 "doc_id": pa.array(ids.astype(np.int64)),
             }
         )
 
-    def combine(g: pd.DataFrame) -> pd.DataFrame:
-        m = g.groupby("prefix_hash", as_index=False).agg(
+    def combine(docs: pd.DataFrame) -> pd.DataFrame:
+        m = docs.groupby("prefix_hash", as_index=False).agg(
             n_docs=("doc_id", "size"), min_doc_id=("doc_id", "min")
         )
         m = m[m["n_docs"] >= 2]
         return m.astype(np.int64)
 
-    return (
-        _docs(sf_dir, ["doc_id", "text"])
-        .map_batches(narrow, batch_format="pyarrow", zero_copy_batch=True)
-        .groupby("bkt")
-        .map_groups(arrow_udf(combine), batch_format="pandas")
+    docs = _docs(sf_dir, ["doc_id", "text"]).map_batches(
+        narrow, batch_format="pyarrow", zero_copy_batch=True
     )
+    return co_group(combine, docs=(docs, "prefix_hash"))
 
 
 WORD_LEN_CAP = 24
@@ -3779,9 +3563,11 @@ def word_length_histogram(sf_dir: str, cap: int = WORD_LEN_CAP) -> rd.Dataset:
     minified payloads (mass at the cap).  share = n·1e6 // total.
 
     Scale shape: map-only per-batch bincount partials (cap+1-row
-    constant output per batch) through one constant-key combine."""
+    constant output per batch) through one keyless :func:`co_group`."""
     import numpy as np
     import pandas as pd
+
+    from .join import co_group
 
     def partials(batch: pa.Table) -> pa.Table:
         counts = np.zeros(cap + 1, np.int64)
@@ -3795,14 +3581,13 @@ def word_length_histogram(sf_dir: str, cap: int = WORD_LEN_CAP) -> rd.Dataset:
                 )
         return pa.table(
             {
-                "fin": pa.array(np.zeros(cap + 1, np.int8)),
                 "length": pa.array(np.arange(cap + 1, dtype=np.int64)),
                 "n": pa.array(counts),
             }
         )
 
-    def fold(g: pd.DataFrame) -> pd.DataFrame:
-        agg = g.groupby("length", as_index=False)["n"].sum()
+    def fold(parts: pd.DataFrame) -> pd.DataFrame:
+        agg = parts.groupby("length", as_index=False)["n"].sum()
         agg = agg[agg["n"] > 0]
         total = int(agg["n"].sum())
         # Python-int shares: n·1e6 wraps int64 past ~9e12 words
@@ -3815,12 +3600,10 @@ def word_length_histogram(sf_dir: str, cap: int = WORD_LEN_CAP) -> rd.Dataset:
             }
         )
 
-    return (
-        _docs(sf_dir, ["text"])
-        .map_batches(partials, batch_format="pyarrow", zero_copy_batch=True)
-        .groupby("fin")
-        .map_groups(arrow_udf(fold), batch_format="pandas")
+    parts = _docs(sf_dir, ["text"]).map_batches(
+        partials, batch_format="pyarrow", zero_copy_batch=True
     )
+    return co_group(fold, parts=(parts, None))
 
 
 # -- temporal drift / per-language length regimes ----------------------------
@@ -3844,17 +3627,16 @@ def temporal_vocab_drift(sf_dir: str) -> rd.Dataset:
     applied to the same integers on both engines, floored to micros.
 
     Scale shape: a narrow min/max doc_id fold picks the cut; one
-    word-hash-bucketed Counter exchange (each bucket owns its words'
-    exact counts in both halves — no vocabulary broadcast) emits
-    four-number partials; a constant-key fold produces the 2 rows."""
+    word-keyed :func:`co_group` of Counter partials (each bucket owns
+    its words' exact counts in both halves — no vocabulary broadcast)
+    emits four-number partials; a keyless :func:`co_group` produces
+    the 2 rows."""
     from collections import Counter
 
     import numpy as np
     import pandas as pd
 
-    from .dedup import _stable64
-
-    buckets = 64
+    from .join import co_group
 
     def id_rng(batch: pa.Table) -> pa.Table:
         ids = batch.column("doc_id").to_numpy(zero_copy_only=False)
@@ -3879,25 +3661,10 @@ def temporal_vocab_drift(sf_dir: str) -> rd.Dataset:
             half = 0 if int(i) <= cut else 1
             for w in t.split():
                 c[(half, w)] += 1
-        keys = list(c.keys())
-        h = np.fromiter(
-            (_stable64(w) for _, w in keys), dtype=np.uint64, count=len(keys)
-        ).view(np.int64)
-        return pa.table(
-            {
-                "bkt": pa.array((h % buckets).astype(np.int32)),
-                "half": pa.array(
-                    np.fromiter((hf for hf, _ in keys), np.int32, len(keys))
-                ),
-                "word": pa.array([w for _, w in keys], pa.string()),
-                "n": pa.array(
-                    np.fromiter(c.values(), np.int64, count=len(keys))
-                ),
-            }
-        )
+        return _count_rows(c, {"half": pa.int32(), "word": pa.string()}, "word")
 
-    def bucket_fold(g: pd.DataFrame) -> pd.DataFrame:
-        t = g.groupby(["half", "word"], as_index=False)["n"].sum()
+    def bucket_fold(parts: pd.DataFrame) -> pd.DataFrame:
+        t = parts.groupby(["half", "word"], as_index=False)["n"].sum()
         wide = t.pivot_table(
             index="word", columns="half", values="n", aggfunc="sum"
         ).reindex(columns=[0, 1])
@@ -3925,12 +3692,11 @@ def temporal_vocab_drift(sf_dir: str) -> rd.Dataset:
                     [int(k0[shared].sum()), int(k1[shared].sum())], np.int64
                 ),
                 "a": np.array([a0, a1], np.int64),
-                "fin": np.zeros(2, np.int8),
             }
         )
 
-    def combine(g: pd.DataFrame) -> pd.DataFrame:
-        m = g.groupby("half")[["tok", "sh", "a"]].sum()
+    def combine(halves: pd.DataFrame) -> pd.DataFrame:
+        m = halves.groupby("half")[["tok", "sh", "a"]].sum()
         sh0, sh1 = int(m.loc[0, "sh"]), int(m.loc[1, "sh"])
         rows = []
         for half, other in ((0, 1), (1, 0)):
@@ -3950,14 +3716,11 @@ def temporal_vocab_drift(sf_dir: str) -> rd.Dataset:
             rows, columns=["half", "n_tokens", "n_shared_tokens", "kl_micros"]
         ).astype(np.int64)
 
-    return (
-        _docs(sf_dir, ["doc_id", "text"])
-        .map_batches(partial_counts, batch_format="pyarrow", zero_copy_batch=True)
-        .groupby("bkt")
-        .map_groups(arrow_udf(bucket_fold), batch_format="pandas")
-        .groupby("fin")
-        .map_groups(arrow_udf(combine), batch_format="pandas")
+    parts = _docs(sf_dir, ["doc_id", "text"]).map_batches(
+        partial_counts, batch_format="pyarrow", zero_copy_batch=True
     )
+    halves = co_group(bucket_fold, parts=(parts, "h"))
+    return co_group(combine, halves=(halves, None))
 
 
 def length_deciles_by_lang(sf_dir: str) -> rd.Dataset:
@@ -4216,18 +3979,16 @@ def bigram_entropy(sf_dir: str) -> rd.Dataset:
     integer (the word_entropy identity one order up; summation-order
     free because the per-bigram factor is floored first).
 
-    Scale shape: per-batch bigram Counter partials bucketed by
-    hash(w₁) — a left word's k₁ and all its k₁₂ land in ONE bucket,
-    so every log factor is bucket-local; buckets emit 3-number
-    partials and a constant-key fold finishes."""
+    Scale shape: per-batch bigram Counter partials through one
+    :func:`co_group` keyed on w₁ — a left word's k₁ and all its k₁₂
+    land in ONE bucket, so every log factor is bucket-local; buckets
+    emit 3-number partials and a keyless :func:`co_group` finishes."""
     from collections import Counter
 
     import numpy as np
     import pandas as pd
 
-    from .dedup import _stable64
-
-    buckets = 64
+    from .join import co_group
 
     def partial_counts(batch: pa.Table) -> pa.Table:
         c: Counter = Counter()
@@ -4235,54 +3996,37 @@ def bigram_entropy(sf_dir: str) -> rd.Dataset:
             ws = t.split()
             for a, b in zip(ws[:-1], ws[1:]):
                 c[(a, b)] += 1
-        keys = list(c.keys())
-        h = np.fromiter(
-            (_stable64(a) for a, _ in keys), dtype=np.uint64, count=len(keys)
-        ).view(np.int64)
-        return pa.table(
-            {
-                "bkt": pa.array((h % buckets).astype(np.int32)),
-                "w1": pa.array([a for a, _ in keys], pa.string()),
-                "w2": pa.array([b for _, b in keys], pa.string()),
-                "n": pa.array(
-                    np.fromiter(c.values(), np.int64, count=len(keys))
-                ),
-            }
-        )
+        return _count_rows(c, {"w1": pa.string(), "w2": pa.string()}, "w1")
 
-    def bucket_fold(g: pd.DataFrame) -> pd.DataFrame:
-        t = g.groupby(["w1", "w2"], as_index=False)["n"].sum()
+    def bucket_fold(parts: pd.DataFrame) -> pd.DataFrame:
+        t = parts.groupby(["w1", "w2"], as_index=False)["n"].sum()
         k1 = t.groupby("w1")["n"].transform("sum").to_numpy(np.float64)
         k12 = t["n"].to_numpy(np.float64)
         factors = np.floor(np.log(k1 / k12) * 1_000_000.0).astype(np.int64)
         a = int((t["n"].to_numpy(np.int64) * factors).sum())
         return pd.DataFrame(
             {
-                "fin": np.zeros(1, np.int8),
                 "nb": np.array([int(t["n"].sum())], np.int64),
                 "nd": np.array([len(t)], np.int64),
                 "a": np.array([a], np.int64),
             }
         )
 
-    def combine(g: pd.DataFrame) -> pd.DataFrame:
-        nb = int(g["nb"].sum())
+    def combine(folds: pd.DataFrame) -> pd.DataFrame:
+        nb = int(folds["nb"].sum())
         return pd.DataFrame(
             {
                 "n_bigrams": np.array([nb], np.int64),
-                "n_distinct_bigrams": np.array([int(g["nd"].sum())], np.int64),
-                "h_micros": np.array([int(g["a"].sum()) // nb], np.int64),
+                "n_distinct_bigrams": np.array([int(folds["nd"].sum())], np.int64),
+                "h_micros": np.array([int(folds["a"].sum()) // nb], np.int64),
             }
         )
 
-    return (
-        _docs(sf_dir, ["text"])
-        .map_batches(partial_counts, batch_format="pyarrow", zero_copy_batch=True)
-        .groupby("bkt")
-        .map_groups(arrow_udf(bucket_fold), batch_format="pandas")
-        .groupby("fin")
-        .map_groups(arrow_udf(combine), batch_format="pandas")
+    parts = _docs(sf_dir, ["text"]).map_batches(
+        partial_counts, batch_format="pyarrow", zero_copy_batch=True
     )
+    folds = co_group(bucket_fold, parts=(parts, "h"))
+    return co_group(combine, folds=(folds, None))
 
 
 def lang_token_density(sf_dir: str) -> rd.Dataset:

@@ -259,6 +259,20 @@ class TestCoGroup:
         assert (got["n"] > 0).all() and int(got["n"].sum()) == 3
         assert len(got) == len(set(_key_bucket(np.arange(3), 64)))
 
+    def test_small_side_spreads_over_reducers(self, ray_session, quiet_data_context):
+        """A side under one tag batch is tagged into one block; its
+        buckets still reach more than one reduce task."""
+        import ray.data as rd
+
+        from pdf_parser_ray.pipelines.join import _TAG_BATCH_ROWS, co_group
+
+        n = 1000
+        assert n < _TAG_BATCH_ROWS
+        side = rd.range(n, override_num_blocks=4)
+        out = co_group(self._calls(), side=(side, "id")).materialize()
+        assert out.num_blocks() > 1
+        assert int(out.to_pandas()["n"].sum()) == n
+
     @pytest.mark.parametrize("layout", ["default", "small_blocks"])
     def test_mixed_keyless_and_keyed_rejected(
         self, ray_session, quiet_data_context, request, layout

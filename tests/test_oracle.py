@@ -73,6 +73,11 @@ def test_oracle_match(ray_session, quiet_data_context, name):
         "part_affinity",
         "event_trigrams",
         "pareto_orders",
+        "top_words",
+        "zipf_fit",
+        "pmi_bigrams",
+        "vocab_coverage",
+        "cosupplier_edges",
     ],
 )
 def test_oracle_match_small_blocks(small_blocks, name):

@@ -1,6 +1,8 @@
 """Invariant tests for relational operators beyond the oracle gate
 (the SQL-equality check itself lives in test_oracle)."""
 
+import pytest
+
 
 class TestCohortRetention:
     def test_matrix_invariants(self, ray_session, quiet_data_context):
@@ -2092,16 +2094,28 @@ class TestValueFivenum:
 
 
 class TestRoutingGuard:
-    def test_no_hand_built_routing_columns(self):
-        """Every routing exchange in relational.py goes through
-        join.co_group: no hash-bucket or constant-key column is built
-        by hand to feed a groupby."""
+    @pytest.mark.parametrize("module", ["relational", "analysis", "join"])
+    def test_no_hand_built_routing_columns(self, module):
+        """Every routing exchange goes through join.co_group: no
+        hash-bucket or constant-key column is built by hand to feed a
+        groupby, and no module keeps its own bucket count.  Exempt:
+        co_group itself (its bucket function and ``__bkt`` column) and
+        build_bucketed, whose ``bucket`` column is the on-disk
+        sort-merge-bucket layout, not an exchange key."""
+        import importlib
         import inspect
         import re
 
-        from pdf_parser_ray.pipelines import relational
-
-        src = inspect.getsource(relational)
-        hits = re.findall(r'groupby\(\s*"(?:bkt|coarse|pbkt|fin)"\s*\)', src)
-        hits += re.findall(r"%\s*buckets\b|\bcoarse_buckets\b", src)
+        mod = importlib.import_module(f"pdf_parser_ray.pipelines.{module}")
+        src = inspect.getsource(mod)
+        if module == "join":
+            for fn in (mod.co_group, mod._key_bucket, mod.build_bucketed):
+                src = src.replace(inspect.getsource(fn), "")
+        hits = re.findall(
+            r'groupby\(\s*"(?:bkt|coarse|coarse2|pbkt|dbkt|fin)"\s*\)', src
+        )
+        hits += re.findall(
+            r"%\s*buckets\b|\bcoarse_buckets\b|\b_PMI_COARSE\b|\b_VOCAB_BUCKETS\b",
+            src,
+        )
         assert hits == []
