@@ -2617,11 +2617,11 @@ def _simhash_sql() -> str:
     MAX_PAIRS_PER_GROUP is re-banded by full signature — identical-sig
     classes emit ALL their hamming-0 pairs uncapped, while cross-sig
     pairs are emitted in (a, b) order up to the cap (stop at the 50th
-    qualifying pair) with the unexamined remainder reported as
-    per-coarse-bucket marker rows (doc_id_a = -1, doc_id_b = coarse,
-    hamming = unexamined-cross-pair count)."""
+    qualifying pair) with the unexamined remainder reported as one
+    marker row per overflowed band_hash (doc_id_a = -1, doc_id_b =
+    band_hash, hamming = unexamined-cross-pair count summed over
+    bands)."""
     from pdf_parser_ray.pipelines.dedup import (
-        _COARSE_BUCKETS,
         _SIMHASH_HASH_BASE,
         _SIMHASH_HASH_MOD,
         MAX_PAIRS_PER_GROUP,
@@ -2692,9 +2692,8 @@ def _simhash_sql() -> str:
         "   UNION ALL SELECT ida, idb, ham FROM winp"
         f"  UNION ALL SELECT ida, idb, ham FROM qq WHERE qrank <= {cap})"
         " UNION ALL"
-        f" SELECT CAST(-1 AS BIGINT), CAST(bh % {_COARSE_BUCKETS} AS BIGINT),"
-        "   CAST(sum(d) AS BIGINT)"
-        f" FROM dropped GROUP BY bh % {_COARSE_BUCKETS} HAVING sum(d) > 0"
+        " SELECT CAST(-1 AS BIGINT), CAST(bh AS BIGINT), CAST(sum(d) AS BIGINT)"
+        " FROM dropped GROUP BY bh HAVING sum(d) > 0"
     )
 
 

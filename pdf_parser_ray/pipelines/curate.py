@@ -32,14 +32,8 @@ from ray.data.aggregate import Count, Min, Sum
 
 from .analysis import _LANG_PROFILES, _TOKEN_RE
 from .extract import DEFAULT_BATCH_SIZE
-from .io_util import arrow_udf, read_parquet_clean
-from .dedup import (
-    _COARSE_BUCKETS,
-    _docs,
-    _id_bucket,
-    minhash_dedup,
-    with_near_dups,
-)
+from .io_util import _COARSE_BUCKETS, arrow_udf, read_parquet_clean
+from .dedup import _docs, minhash_dedup, with_near_dups
 
 
 def _symmetric_edges(pairs: rd.Dataset) -> rd.Dataset:
@@ -65,12 +59,13 @@ def _propagate_once(edges: rd.Dataset, labels: rd.Dataset) -> rd.Dataset:
     min(own label, labels of in-neighbors), computed without any
     driver-side state — a bucket co-shuffle of edges with labels, then a
     vectorized grouped Min."""
+    from .join import _DEFAULT_BUCKETS, _key_bucket
 
     def edge_rows(batch: pa.Table) -> pa.Table:
         u = batch.column("u").to_numpy(zero_copy_only=False)
         return pa.table(
             {
-                "key": pa.array(_id_bucket(u)),
+                "key": pa.array(_key_bucket(u, _DEFAULT_BUCKETS)),
                 "u": batch.column("u"),
                 "v": batch.column("v"),
                 "label": pa.array(np.full(len(u), -1, np.int64)),
@@ -81,7 +76,7 @@ def _propagate_once(edges: rd.Dataset, labels: rd.Dataset) -> rd.Dataset:
         n = batch.column("node").to_numpy(zero_copy_only=False)
         return pa.table(
             {
-                "key": pa.array(_id_bucket(n)),
+                "key": pa.array(_key_bucket(n, _DEFAULT_BUCKETS)),
                 "u": batch.column("node"),
                 "v": pa.array(np.full(len(n), -1, np.int64)),
                 "label": batch.column("label"),
@@ -132,6 +127,8 @@ def near_dup_clusters(
     component (deterministic).  Fully distributed — the pair set and the
     per-node labels shuffle between workers; nothing corpus-sized (and
     nothing at all, beyond tiny aggregates) touches the driver."""
+    from .join import _DEFAULT_BUCKETS, _key_bucket
+
     pairs = minhash_dedup(sf_dir, threshold_millis=threshold_millis)
     edges = _symmetric_edges(pairs).materialize()
 
@@ -177,7 +174,7 @@ def near_dup_clusters(
         lab = batch.column("label").to_numpy(zero_copy_only=False)
         return pa.table(
             {
-                "key": pa.array(_id_bucket(lab)),
+                "key": pa.array(_key_bucket(lab, _DEFAULT_BUCKETS)),
                 "node": pa.array(np.full(len(lab), -1, np.int64)),
                 "label": batch.column("label"),
                 "size": batch.column("n").cast(pa.int64()),
@@ -188,7 +185,7 @@ def near_dup_clusters(
         lab = batch.column("label").to_numpy(zero_copy_only=False)
         return pa.table(
             {
-                "key": pa.array(_id_bucket(lab)),
+                "key": pa.array(_key_bucket(lab, _DEFAULT_BUCKETS)),
                 "node": batch.column("node"),
                 "label": batch.column("label"),
                 "size": pa.array(np.full(len(lab), -1, np.int64)),
@@ -283,13 +280,14 @@ def curate_documents(
     verdict ordering exactly.  (Rounds 1-2 collected the drop-sets to
     driver Python sets — duplicate-sized, which at real crawl dup rates
     is still a corpus fraction; see VERDICT r02 'What's wrong' #1.)"""
+    from .join import _DEFAULT_BUCKETS, _key_bucket
 
     def exact_rows(batch: pa.Table) -> pa.Table:
         ids = batch.column("doc_id").to_numpy(zero_copy_only=False).astype(np.int64)
         n = len(ids)
         return pa.table(
             {
-                "key": pa.array(_id_bucket(ids)),
+                "key": pa.array(_key_bucket(ids, _DEFAULT_BUCKETS)),
                 "doc_id": pa.array(ids),
                 "pri": pa.array(np.full(n, 3, np.int32)),
                 "lang_pred": pa.array([""] * n, pa.string()),
@@ -304,7 +302,7 @@ def curate_documents(
         n = len(ids)
         return pa.table(
             {
-                "key": pa.array(_id_bucket(ids)),
+                "key": pa.array(_key_bucket(ids, _DEFAULT_BUCKETS)),
                 "doc_id": pa.array(ids),
                 "pri": pa.array(np.full(n, 4, np.int32)),
                 "lang_pred": pa.array([""] * n, pa.string()),
@@ -338,7 +336,7 @@ def curate_documents(
         arr_ids = np.asarray(ids, np.int64)
         return pa.table(
             {
-                "key": pa.array(_id_bucket(arr_ids)),
+                "key": pa.array(_key_bucket(arr_ids, _DEFAULT_BUCKETS)),
                 "doc_id": pa.array(arr_ids),
                 "pri": pa.array(pris, pa.int32()),
                 "lang_pred": pa.array(langs, pa.string()),

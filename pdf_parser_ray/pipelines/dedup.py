@@ -7,17 +7,22 @@ Scale shapes (the part that must survive 100 TB):
   keyed on the hash (uniform by construction, no skew), keeping the
   minimum doc_id per group.
 * **MinHash-LSH** — per-batch shingling/minhashing (no shuffle), an
-  explode to (band, band_hash, doc_id) rows, ONE ``groupby`` on the
-  band key, pair emission inside ``map_groups`` (bounded per group),
-  then exact-Jaccard verification as a **distributed bucket join**
-  (:func:`_bucket_join_verify`): pair halves and (doc_id, text) rows
-  co-shuffled on ``hash(doc_id) % K`` — no document text ever
-  materializes on the driver, so the verify side scales with the
+  explode to (band, band_hash, doc_id) rows, ONE band_hash-keyed
+  :func:`~.join.co_group`, pair emission inside each bucket (bounded
+  per group), then exact-Jaccard verification as a **distributed
+  bucket join** (:func:`_bucket_join_verify`): pair halves meet their
+  (doc_id, text) rows in a doc_id-keyed co_group — no document text
+  ever materializes on the driver, so the verify side scales with the
   corpus, not with driver memory.
-* **SimHash / n-gram** — same explode→groupby→verify skeleton with
+* **SimHash / n-gram** — same explode→co_group→verify skeleton with
   different signatures.
 * **embedding** — random-hyperplane LSH buckets over the vector column,
   exact cosine inside buckets.
+
+Every exchange here is a :func:`~.join.co_group` keyed on an integer
+the rows already carry (band_hash, doc_id, a pair key, a digest's
+crc32) or a keyless final fold; a ``groupby`` keys only on a real
+column.
 
 Near-dup operators are demonstrated on a corpus that provably contains
 near-duplicates: a deterministic perturbation stage clones every 7th
@@ -35,15 +40,16 @@ import pandas as pd
 import pyarrow as pa
 import ray.data as rd
 
-from .io_util import arrow_udf, list_column_matrix, read_parquet_clean, strip_schema_metadata
+from .io_util import arrow_udf, list_column_matrix, read_parquet_clean
 from ray.data.aggregate import Min
 
 NEAR_DUP_ID_OFFSET = 10_000_000
 # Bound the quadratic blowup in a hot bucket.  Truncation is NEVER
-# silent: every group that hits the cap reports its unexamined-pair
-# count as an overflow marker row riding the pair output —
-# (id_a = OVERFLOW_MARKER_ID, id_b = bucket key, metric column = number
-# of candidate pairs not examined).  A boilerplate-heavy bucket at
+# silent: every band key whose groups hit the cap reports its
+# unexamined-pair count as an overflow marker row riding the pair
+# output — (id_a = OVERFLOW_MARKER_ID, id_b = the overflowed band_hash
+# (embedding: LSH bucket), metric column = number of candidate pairs
+# not examined, summed over bands).  A boilerplate-heavy bucket at
 # 100 TB therefore shows up as lost-recall accounting in the result
 # instead of disappearing (VERDICT r02 'What's wrong' #4).  Absent on
 # the oracle corpora (no >50-way groups), so the SQL mirrors are
@@ -77,6 +83,20 @@ def _docs(sf_dir: str, columns: list[str]) -> rd.Dataset:
 
 def _stable64(token: str) -> int:
     return int.from_bytes(hashlib.blake2b(token.encode(), digest_size=8).digest(), "big")
+
+
+def _norm_md5s(texts) -> "list[str]":
+    """md5 hex digest of each text's NORMALIZED form — lowercase,
+    non-[a-z0-9 ] runs deleted, spaces collapsed, trimmed — in three
+    vectorized Arrow RE2 kernels; only the digest is per-row.  The
+    :func:`normalized_dedup` key every normalized-text operator shares."""
+    import pyarrow.compute as pc
+
+    x = pc.utf8_lower(texts)
+    x = pc.replace_substring_regex(x, pattern=r"[^a-z0-9 ]+", replacement="")
+    x = pc.replace_substring_regex(x, pattern=r" +", replacement=" ")
+    x = pc.utf8_trim(x, characters=" ")
+    return [hashlib.md5(t.encode("utf-8")).hexdigest() for t in x.to_pylist()]
 
 
 # -- exact dedup ------------------------------------------------------------
@@ -119,20 +139,12 @@ def normalized_dedup(sf_dir: str) -> rd.Dataset:
     per-row.  Then the same uniform hash-keyed groupby as
     :func:`exact_dedup`.  The in-batch Count partial rides the same
     exchange row as the Min."""
-    import pyarrow.compute as pc
     from ray.data.aggregate import Count
 
     def add_norm_hash(batch: pa.Table) -> pa.Table:
-        x = pc.utf8_lower(batch.column("text"))
-        x = pc.replace_substring_regex(x, pattern=r"[^a-z0-9 ]+", replacement="")
-        x = pc.replace_substring_regex(x, pattern=r" +", replacement=" ")
-        x = pc.utf8_trim(x, characters=" ")
-        hashes = [
-            hashlib.md5(t.encode("utf-8")).hexdigest() for t in x.to_pylist()
-        ]
         return pa.table(
             {
-                "text_hash": pa.array(hashes, pa.string()),
+                "text_hash": pa.array(_norm_md5s(batch.column("text")), pa.string()),
                 "doc_id": batch.column("doc_id"),
             }
         )
@@ -193,29 +205,21 @@ def best_of_duplicates(sf_dir: str) -> rd.Dataset:
     length winner AND tie-broken groups both exist.
 
     Scale shape: one vectorized normalize+hash pass emits narrow
-    (text_hash, doc_id, n_chars) rows; the argmax-per-group runs as a
-    coarse-bucket ``groupby.map_groups`` with a vectorized pandas
-    combine (sort + drop_duplicates), the house pattern — ONE shuffle
+    (text_hash, doc_id, n_chars) rows; the argmax-per-group runs in one
+    :func:`~.join.co_group` keyed on the digest's crc32 with a
+    vectorized pandas combine (sort + drop_duplicates) — ONE shuffle
     of narrow rows, text never moves, nothing on the driver."""
     import pyarrow.compute as pc
 
+    from .analysis import _crc32s
+    from .join import co_group
+
     def norm_rows(batch: pa.Table) -> pa.Table:
         batch = _with_variants(batch)
-        x = pc.utf8_lower(batch.column("text"))
-        x = pc.replace_substring_regex(x, pattern=r"[^a-z0-9 ]+", replacement="")
-        x = pc.replace_substring_regex(x, pattern=r" +", replacement=" ")
-        x = pc.utf8_trim(x, characters=" ")
-        hashes = [
-            hashlib.md5(t.encode("utf-8")).hexdigest() for t in x.to_pylist()
-        ]
-        keys = np.fromiter(
-            (zlib.crc32(h.encode()) % _COARSE_BUCKETS for h in hashes),
-            dtype=np.int64,
-            count=len(hashes),
-        )
+        hashes = _norm_md5s(batch.column("text"))
         return pa.table(
             {
-                "key": pa.array(keys),
+                "h": _crc32s(hashes),
                 "text_hash": pa.array(hashes, pa.string()),
                 "doc_id": batch.column("doc_id"),
                 "n_chars": pc.cast(
@@ -224,8 +228,8 @@ def best_of_duplicates(sf_dir: str) -> rd.Dataset:
             }
         )
 
-    def winners(g: pd.DataFrame) -> pd.DataFrame:
-        g = g.sort_values(
+    def winners(rows: pd.DataFrame) -> pd.DataFrame:
+        g = rows.sort_values(
             ["text_hash", "n_chars", "doc_id"],
             ascending=[True, False, True],
             kind="stable",
@@ -236,12 +240,10 @@ def best_of_duplicates(sf_dir: str) -> rd.Dataset:
         )
         return w[["text_hash", "doc_id", "n_chars", "n_members"]]
 
-    return (
-        _docs(sf_dir, ["doc_id", "text"])
-        .map_batches(norm_rows, batch_format="pyarrow", zero_copy_batch=True)
-        .groupby("key")
-        .map_groups(arrow_udf(winners), batch_format="pandas")
+    rows = _docs(sf_dir, ["doc_id", "text"]).map_batches(
+        norm_rows, batch_format="pyarrow", zero_copy_batch=True
     )
+    return co_group(winners, rows=(rows, "h"))
 
 
 # -- perturbed corpus for near-dup demos ------------------------------------
@@ -296,14 +298,91 @@ def _jaccard(a: set, b: set) -> float:
 
 # -- bucket-join verification (scale-safe: no driver text state) ------------
 
-_JOIN_BUCKETS = 64
+
+def _attach_texts(pairs: rd.Dataset, texts: rd.Dataset) -> rd.Dataset:
+    """(doc_id_a, doc_id_b, side, text) rows: every candidate pair split
+    into two halves — side 0 carries doc_id_a's text, side 1 doc_id_b's
+    — that meet the (doc_id, text) corpus rows in ONE doc_id-keyed
+    :func:`~.join.co_group`, so the corpus never touches the driver.  A
+    half whose doc has no text row drops.  Overflow marker rows
+    (doc_id_a == OVERFLOW_MARKER_ID, count in ``n_overflow``) pass
+    through as side 3 with the count in ``text``, so truncation
+    accounting reaches the verify stage in the same stream — no second
+    pass, no materialize barrier over the candidates."""
+    from .join import co_group
+
+    def halves(batch: pa.Table) -> pa.Table:
+        a = batch.column("doc_id_a").to_numpy(zero_copy_only=False).astype(np.int64)
+        b = batch.column("doc_id_b").to_numpy(zero_copy_only=False).astype(np.int64)
+        m = a < 0
+        ovf = batch.column("n_overflow").to_numpy(zero_copy_only=False)[m]
+        n = int((~m).sum())
+        return pa.table(
+            {
+                "need": pa.array(np.concatenate([a[~m], b[~m], b[m]])),
+                "doc_id_a": pa.array(np.concatenate([a[~m], a[~m], a[m]])),
+                "doc_id_b": pa.array(np.concatenate([b[~m], b[~m], b[m]])),
+                "side": pa.array(
+                    np.repeat(np.array([0, 1, 3], np.int32), [n, n, len(ovf)])
+                ),
+                "text": pa.array(
+                    [None] * (2 * n) + [str(int(v)) for v in ovf],
+                    pa.large_string(),
+                ),
+            }
+        )
+
+    def attach(halves: pd.DataFrame, texts: pd.DataFrame) -> "pa.Table | pd.DataFrame":
+        if halves.empty:
+            return pd.DataFrame()
+        lookup = {} if texts.empty else dict(zip(texts["doc_id"], texts["text"]))
+        got = [
+            t if s == 3 else lookup.get(i)
+            for i, s, t in zip(halves["need"], halves["side"], halves["text"])
+        ]
+        keep = np.array([t is not None for t in got], dtype=bool)
+        h = halves[keep]
+        return pa.table(
+            {
+                "doc_id_a": pa.array(h["doc_id_a"].to_numpy(np.int64)),
+                "doc_id_b": pa.array(h["doc_id_b"].to_numpy(np.int64)),
+                "side": pa.array(h["side"].to_numpy(np.int32)),
+                "text": pa.array([t for t in got if t is not None], pa.large_string()),
+            }
+        )
+
+    return co_group(
+        attach,
+        halves=(
+            pairs.map_batches(halves, batch_format="pyarrow", zero_copy_batch=True),
+            "need",
+        ),
+        texts=(texts, "doc_id"),
+    )
 
 
-def _id_bucket(ids: np.ndarray) -> np.ndarray:
-    """Uniform doc_id -> join bucket (multiply-shift over Z/2^64)."""
-    with np.errstate(over="ignore"):
-        mixed = ids.astype(np.uint64) * _SHINGLE_C1
-    return ((mixed >> np.uint64(33)) % _JOIN_BUCKETS).astype(np.int32)
+def _scored_pairs(halves: pd.DataFrame):
+    """Yield (a, b, texts_equal, jaccard_millis) for every candidate pair
+    of attached halves (:func:`_attach_texts`, markers excluded) whose
+    two texts both arrived.  A pair surfacing from several LSH bands
+    counts once.  Docs recur across pairs (a hub doc pairs with many
+    others, and 2-row bands emit many spurious candidates), so each
+    text is shingled once per call, not once per pair."""
+    memo: dict[int, set[str]] = {}
+
+    def shingles(doc_id: int, text: str) -> set[str]:
+        s = memo.get(doc_id)
+        if s is None:
+            s = memo[doc_id] = _word_shingles(text)
+        return s
+
+    halves = halves.drop_duplicates(subset=["doc_id_a", "doc_id_b", "side"])
+    for (a, b), sub in halves.groupby(["doc_id_a", "doc_id_b"], sort=False):
+        t = dict(zip(sub["side"], sub["text"]))
+        if 0 in t and 1 in t:
+            a, b = int(a), int(b)
+            score = _jaccard(shingles(a, t[0]), shingles(b, t[1]))
+            yield a, b, t[0] == t[1], int(score * 1000)
 
 
 def _bucket_join_verify(
@@ -312,145 +391,27 @@ def _bucket_join_verify(
     """Exact-Jaccard verification of candidate pairs as a distributed
     bucket join — the document corpus NEVER touches the driver.
 
-    Each pair is split into two half-rows, keyed by ``hash(doc_id) %
-    _JOIN_BUCKETS`` of the side whose text it needs; (doc_id, text)
-    rows are keyed the same way.  One co-shuffle groups each half with
-    its text; a second (pair-keyed, coarse-bucketed) shuffle reunites
-    the halves — at which point both texts sit in the same group and
-    the exact word-3-gram Jaccard is computed there.  Candidate-pair
-    duplicates (the same pair surfacing from several LSH bands) are
-    dropped vectorized at the reunite stage, so callers pass raw
-    candidates without a separate ``_dedup_pairs`` shuffle round.
-    Total exchange: the corpus text once, the (small) pair set twice.
+    :func:`_attach_texts` gives each pair half its text; a second
+    :func:`~.join.co_group`, keyed on doc_id_a, reunites the halves —
+    both texts of a pair then sit in one group, where the exact
+    word-3-gram Jaccard is computed.  Candidate-pair duplicates (the
+    same pair surfacing from several LSH bands) are dropped there, so
+    callers pass raw candidates without a separate :func:`_dedup_pairs`
+    round.  Total exchange: the corpus text once, the (small) pair set
+    twice.  Overflow markers leave as (OVERFLOW_MARKER_ID, band_hash,
+    unexamined count) rows."""
+    from .join import co_group
 
-    Overflow marker rows (doc_id_a == OVERFLOW_MARKER_ID, carrying an
-    ``n_overflow`` column) ride THROUGH the join on a side=3 fast path
-    — the count travels in the text column — so truncation accounting
-    reaches the verified output without a second pass or a materialize
-    barrier over the candidate stream.
-    """
-
-    def halves(batch: pa.Table) -> pa.Table:
-        a_all = batch.column("doc_id_a").to_numpy(zero_copy_only=False).astype(np.int64)
-        b_all = batch.column("doc_id_b").to_numpy(zero_copy_only=False).astype(np.int64)
-        is_marker = a_all < 0
-        a, b = a_all[~is_marker], b_all[~is_marker]
-        n = len(a)
-        keys = [np.concatenate([_id_bucket(a), _id_bucket(b)])]
-        ids_a = [np.concatenate([a, a])]
-        ids_b = [np.concatenate([b, b])]
-        sides = [np.concatenate([np.zeros(n, np.int32), np.ones(n, np.int32)])]
-        texts: list = [None] * (2 * n)
-        if is_marker.any():
-            ovf = (
-                batch.column("n_overflow")
-                .to_numpy(zero_copy_only=False)
-                .astype(np.int64)[is_marker]
-            )
-            mb = b_all[is_marker]
-            keys.append(_id_bucket(mb))
-            ids_a.append(a_all[is_marker])
-            ids_b.append(mb)
-            sides.append(np.full(len(mb), 3, np.int32))
-            texts.extend(str(int(v)) for v in ovf)  # count rides the text col
-        return pa.table(
-            {
-                "key": pa.array(np.concatenate(keys)),
-                "doc_id_a": pa.array(np.concatenate(ids_a)),
-                "doc_id_b": pa.array(np.concatenate(ids_b)),
-                "side": pa.array(np.concatenate(sides)),
-                "text": pa.array(texts, pa.large_string()),
-            }
-        )
-
-    def text_rows(batch: pa.Table) -> pa.Table:
-        ids = batch.column("doc_id").to_numpy(zero_copy_only=False).astype(np.int64)
-        return pa.table(
-            {
-                "key": pa.array(_id_bucket(ids)),
-                "doc_id_a": pa.array(ids),
-                "doc_id_b": pa.array(np.zeros(len(ids), np.int64)),
-                "side": pa.array(np.full(len(ids), 2, np.int32)),
-                "text": batch.column("text").cast(pa.large_string()),
-            }
-        )
-
-    def attach(g: pd.DataFrame) -> pd.DataFrame:
-        is_text = g["side"].to_numpy() == 2
-        lookup = dict(
-            zip(g["doc_id_a"].to_numpy()[is_text], g["text"].to_numpy()[is_text])
-        )
-        h = g[~is_text]
-        sides = h["side"].to_numpy()
-        need = np.where(sides == 0, h["doc_id_a"].to_numpy(), h["doc_id_b"].to_numpy())
-        orig = h["text"].to_numpy()
-        # markers (side 3) pass through with their count-in-text intact
-        texts_got = [
-            o if s == 3 else lookup.get(i)
-            for i, s, o in zip(need, sides, orig)
-        ]
-        keep = np.array([t is not None for t in texts_got], dtype=bool)
-        return pd.DataFrame(
-            {
-                "doc_id_a": h["doc_id_a"].to_numpy()[keep].astype(np.int64),
-                "doc_id_b": h["doc_id_b"].to_numpy()[keep].astype(np.int64),
-                "side": sides[keep].astype(np.int32),
-                "text": pd.array(
-                    [t for t, k in zip(texts_got, keep) if k], dtype=object
-                ),
-            }
-        )
-
-    def add_pair_coarse(batch: pa.Table) -> pa.Table:
-        a = batch.column("doc_id_a").to_numpy(zero_copy_only=False)
-        b = batch.column("doc_id_b").to_numpy(zero_copy_only=False)
-        # strip the b'pandas' metadata the upstream pandas map_groups
-        # re-injected — unhashable schemas defeat reduce-side dedup
-        return strip_schema_metadata(
-            batch.append_column(
-                "coarse",
-                pa.array(((a * 1_000_003 + b) % _COARSE_BUCKETS).astype(np.int32)),
-            )
-        )
-
-    def verify_group(g: pd.DataFrame) -> pd.DataFrame:
-        g = g.drop_duplicates(subset=["doc_id_a", "doc_id_b", "side"])
-        oa: list[int] = []
-        ob: list[int] = []
-        sim: list[int] = []
-        is_marker = g["side"].to_numpy() == 3
-        if is_marker.any():
-            for _, row in g[is_marker].iterrows():
-                oa.append(int(row["doc_id_a"]))
-                ob.append(int(row["doc_id_b"]))
-                sim.append(int(row["text"]))  # the unexamined-pair count
-            g = g[~is_marker]
-        # docs recur across pairs (a hub doc pairs with many others, and
-        # 2-row LSH bands emit many spurious candidates) — shingle each
-        # text once per group, not once per pair
-        shingle_memo: dict[int, set[str]] = {}
-
-        def shingles_of(doc_id: int, text: str) -> set[str]:
-            s = shingle_memo.get(doc_id)
-            if s is None:
-                s = shingle_memo[doc_id] = _word_shingles(text)
-            return s
-
-        for (a, b), sub in g.groupby(["doc_id_a", "doc_id_b"], sort=False):
-            ta = tb = None
-            for side, text in zip(sub["side"], sub["text"]):
-                if side == 0:
-                    ta = text
-                else:
-                    tb = text
-            if ta is None or tb is None:
-                continue
-            score = int(
-                _jaccard(shingles_of(int(a), ta), shingles_of(int(b), tb)) * 1000
-            )
+    def verify(pairs: pd.DataFrame) -> pd.DataFrame:
+        m = pairs["side"].to_numpy() == 3
+        marks = pairs[m].drop_duplicates(subset=["doc_id_a", "doc_id_b"])
+        oa = marks["doc_id_a"].tolist()
+        ob = marks["doc_id_b"].tolist()
+        sim = [int(t) for t in marks["text"]]  # the unexamined-pair count
+        for a, b, _, score in _scored_pairs(pairs[~m]):
             if score >= threshold_millis:
-                oa.append(int(a))
-                ob.append(int(b))
+                oa.append(a)
+                ob.append(b)
                 sim.append(score)
         return pd.DataFrame(
             {
@@ -460,20 +421,7 @@ def _bucket_join_verify(
             }
         )
 
-    half_rows = pairs.map_batches(
-        halves, batch_format="pyarrow", zero_copy_batch=True
-    )
-    corpus_rows = texts.map_batches(
-        text_rows, batch_format="pyarrow", zero_copy_batch=True
-    )
-    return (
-        half_rows.union(corpus_rows)
-        .groupby("key")
-        .map_groups(arrow_udf(attach), batch_format="pandas")
-        .map_batches(add_pair_coarse, batch_format="pyarrow", zero_copy_batch=True)
-        .groupby("coarse")
-        .map_groups(arrow_udf(verify_group), batch_format="pandas")
-    )
+    return co_group(verify, pairs=(_attach_texts(pairs, texts), "doc_id_a"))
 
 
 def _all_pairs_sorted(ids: "np.ndarray") -> tuple[np.ndarray, np.ndarray]:
@@ -539,101 +487,79 @@ def _emit_pairs(ids_iter, secs_iter) -> tuple[list[int], list[int], int]:
     return a_out, b_out, cross_total - emitted
 
 
-# Tiny LSH buckets are legion; shuffling on the raw bucket key makes the
-# per-group python overhead dominate.  Instead the shuffle key is a
-# *coarse* bucket (key-hash % _COARSE_BUCKETS) and the exact grouping
-# happens vectorized (pandas groupby) inside each coarse group — one
-# shuffle, ~_COARSE_BUCKETS group invocations instead of tens of
-# thousands.  Sizing rule (the partitioning assumption every coarse
-# consumer relies on): one coarse group holds ~rows/buckets NARROW rows
-# and is processed as one vectorized pandas group, so pick buckets ≈
-# corpus_rows / 5M to keep a group in the hundreds of MB.  256 fits the
-# test scales; a 10^12-row corpus wants ~200k — override via env
-# without code changes.
-_COARSE_BUCKETS = int(os.environ.get("GRAFT_COARSE_BUCKETS", "256"))
+# Tiny LSH buckets are legion; one Ray group per band key would make the
+# per-group Python overhead dominate.  So the exchange is a
+# :func:`~.join.co_group` keyed on ``band_hash`` — every row of one band
+# key lands in the same one of its buckets — and the exact grouping
+# happens vectorized (pandas groupby) inside each bucket.  Partitioning
+# assumption: one co_group bucket's NARROW rows fit one pandas group.
 
 
-def _coarse_candidate_pairs(ds: rd.Dataset, key_cols: list[str]) -> rd.Dataset:
+def _overflow_rows(dropped: "dict[int, int]", metric: str) -> pd.DataFrame:
+    """One overflow marker row per overflowed band_hash:
+    (OVERFLOW_MARKER_ID, band_hash, unexamined pairs summed over
+    bands).  Exact, because co_group routes a band_hash wholly into one
+    bucket."""
+    return pd.DataFrame(
+        {
+            "doc_id_a": np.full(len(dropped), OVERFLOW_MARKER_ID, np.int64),
+            "doc_id_b": np.fromiter(dropped, np.int64, len(dropped)),
+            metric: np.fromiter(dropped.values(), np.int64, len(dropped)),
+        }
+    )
+
+
+def _candidate_pairs(ds: rd.Dataset, key_cols: list[str]) -> rd.Dataset:
     """(key_cols..., doc_id, sec) rows -> unique candidate (doc_id_a,
-    doc_id_b) pairs among rows sharing the full key; ``sec`` is the
-    full-signature fingerprint :func:`_emit_pairs` re-bands overflowed
-    groups by."""
+    doc_id_b, n_overflow=0) pairs among rows sharing the full key, plus
+    the :func:`_overflow_rows` markers; ``sec`` is the full-signature
+    fingerprint :func:`_emit_pairs` re-bands overflowed groups by."""
+    from .join import co_group
 
-    def add_coarse(batch: pa.Table) -> pa.Table:
-        h = batch.column("band_hash").to_numpy(zero_copy_only=False)
-        return strip_schema_metadata(
-            batch.append_column(
-                "coarse", pa.array((h % _COARSE_BUCKETS).astype(np.int32))
-            )
-        )
-
-    def pairs_in_coarse(g: pd.DataFrame) -> pd.DataFrame:
+    def pairs_in_bucket(bands: pd.DataFrame) -> pd.DataFrame:
         a_out: list[int] = []
         b_out: list[int] = []
-        dropped = 0
-        for _, sub in g.groupby(key_cols, sort=False):
+        dropped: dict[int, int] = {}
+        for _, sub in bands.groupby(key_cols, sort=False):
             if len(sub) < 2:
                 continue
-            a, b, d = _emit_pairs(
-                sub["doc_id"].tolist(), sub["sec"].tolist()
-            )
+            a, b, d = _emit_pairs(sub["doc_id"].tolist(), sub["sec"].tolist())
             a_out.extend(a)
             b_out.extend(b)
-            dropped += d
-        # explicit dtypes so empty groups emit schema-typed blocks
+            if d:
+                bh = int(sub["band_hash"].iloc[0])
+                dropped[bh] = dropped.get(bh, 0) + d
         df = pd.DataFrame(
             {
                 "doc_id_a": np.array(a_out, np.int64),
                 "doc_id_b": np.array(b_out, np.int64),
             }
-        )
-        df = df.drop_duplicates()
-        df.insert(2, "n_overflow", np.zeros(len(df), np.int64))
-        if dropped:
-            # one overflow marker per coarse group: lost recall is
-            # visible in the candidate stream, never silent
-            marker = pd.DataFrame(
-                {
-                    "doc_id_a": np.array([OVERFLOW_MARKER_ID], np.int64),
-                    "doc_id_b": np.array([int(g["coarse"].iloc[0])], np.int64),
-                    "n_overflow": np.array([dropped], np.int64),
-                }
-            )
-            df = pd.concat([df, marker], ignore_index=True)
-        return df
+        ).drop_duplicates()
+        df["n_overflow"] = np.zeros(len(df), np.int64)
+        return pd.concat([df, _overflow_rows(dropped, "n_overflow")], ignore_index=True)
 
-    return (
-        ds.map_batches(add_coarse, batch_format="pyarrow", zero_copy_batch=True)
-        .groupby("coarse")
-        .map_groups(arrow_udf(pairs_in_coarse), batch_format="pandas")
-    )
+    return co_group(pairs_in_bucket, bands=(ds, "band_hash"))
 
 
 def _dedup_pairs(
     ds: rd.Dataset, id_a: str = "doc_id_a", id_b: str = "doc_id_b"
 ) -> rd.Dataset:
-    """Global pair dedup with the same coarse-shuffle trick: hash the
-    pair to a coarse key, drop duplicates vectorized inside each group.
-    Extra columns ride along (duplicate pairs carry identical values)."""
+    """Global pair dedup: one :func:`~.join.co_group` keyed on the pair
+    key ``a·1_000_003 + b`` drops duplicates vectorized inside each
+    bucket.  Extra columns ride along (duplicate pairs carry identical
+    values)."""
+    from .join import co_group
 
-    def add_coarse(batch: pa.Table) -> pa.Table:
-        a = batch.column(id_a).to_numpy(zero_copy_only=False)
-        b = batch.column(id_b).to_numpy(zero_copy_only=False)
-        return strip_schema_metadata(
-            batch.append_column(
-                "coarse",
-                pa.array(((a * 1_000_003 + b) % _COARSE_BUCKETS).astype(np.int32)),
-            )
-        )
+    def pair_key(batch: pa.Table) -> pa.Table:
+        a = batch.column(id_a).to_numpy(zero_copy_only=False).astype(np.int64)
+        b = batch.column(id_b).to_numpy(zero_copy_only=False).astype(np.int64)
+        return batch.append_column("pair", pa.array(a * 1_000_003 + b))
 
-    def dd(g: pd.DataFrame) -> pd.DataFrame:
-        return g.drop_duplicates(subset=[id_a, id_b]).drop(columns=["coarse"])
+    def dd(pairs: pd.DataFrame) -> pd.DataFrame:
+        return pairs.drop_duplicates(subset=[id_a, id_b]).drop(columns=["pair"])
 
-    return (
-        ds.map_batches(add_coarse, batch_format="pyarrow", zero_copy_batch=True)
-        .groupby("coarse")
-        .map_groups(arrow_udf(dd), batch_format="pandas")
-    )
+    keyed = ds.map_batches(pair_key, batch_format="pyarrow", zero_copy_batch=True)
+    return co_group(dd, pairs=(keyed, "pair"))
 
 
 # -- MinHash + LSH ----------------------------------------------------------
@@ -695,40 +621,43 @@ def minhash_signature(text: str, word_cache: dict[str, int] | None = None) -> np
     return vals.min(axis=1)
 
 
+def _minhash_bands(batch: pa.Table) -> pa.Table:
+    """(doc_id, text) batch -> one (band, band_hash, doc_id, sec) row per
+    LSH band of each doc's MinHash signature; ``sec`` is the crc32 of
+    the full signature (the overflow-recovery class key)."""
+    out_band, out_hash, out_id, out_sec = [], [], [], []
+    word_cache: dict[str, int] = {}  # word-hash memo shared per batch
+    for doc_id, text in zip(
+        batch.column("doc_id").to_pylist(), batch.column("text").to_pylist()
+    ):
+        sig = minhash_signature(text, word_cache)
+        sec = int(zlib.crc32(sig.tobytes()))  # full-signature fingerprint
+        for band in range(_LSH_BANDS):
+            chunk = sig[band * _LSH_ROWS : (band + 1) * _LSH_ROWS]
+            out_band.append(band)
+            out_hash.append(int(zlib.crc32(chunk.tobytes())))
+            out_id.append(doc_id)
+            out_sec.append(sec)
+    return pa.table(
+        {
+            "band": pa.array(out_band, pa.int32()),
+            "band_hash": pa.array(out_hash, pa.int64()),
+            "doc_id": pa.array(out_id, pa.int64()),
+            "sec": pa.array(out_sec, pa.int64()),
+        }
+    )
+
+
 def minhash_dedup(sf_dir: str, threshold_millis: int = 500) -> rd.Dataset:
     """(doc_id_a, doc_id_b, jaccard_millis): near-duplicate pairs via
-    shingle→minhash→band→bucket-groupby candidates + exact verification.
-    Rows with ``doc_id_a == OVERFLOW_MARKER_ID`` are truncation
-    accounting: doc_id_b is the coarse bucket, jaccard_millis the count
-    of candidate pairs not examined there (MAX_PAIRS_PER_GROUP)."""
-
-    def band_rows(batch: pa.Table) -> pa.Table:
-        ids = batch.column("doc_id").to_pylist()
-        texts = batch.column("text").to_pylist()
-        out_band, out_hash, out_id, out_sec = [], [], [], []
-        rows_per_band = _LSH_ROWS
-        word_cache: dict[str, int] = {}  # word-hash memo shared per batch
-        for doc_id, text in zip(ids, texts):
-            sig = minhash_signature(text, word_cache)
-            sec = int(zlib.crc32(sig.tobytes()))  # full-signature fingerprint
-            for band in range(_LSH_BANDS):
-                chunk = sig[band * rows_per_band : (band + 1) * rows_per_band]
-                out_band.append(band)
-                out_hash.append(int(zlib.crc32(chunk.tobytes())))
-                out_id.append(doc_id)
-                out_sec.append(sec)
-        return pa.table(
-            {
-                "band": pa.array(out_band, pa.int32()),
-                "band_hash": pa.array(out_hash, pa.int64()),
-                "doc_id": pa.array(out_id, pa.int64()),
-                "sec": pa.array(out_sec, pa.int64()),
-            }
-        )
-
+    shingle→minhash→band→band_hash co_group candidates + exact
+    verification.  Rows with ``doc_id_a == OVERFLOW_MARKER_ID`` are
+    truncation accounting: doc_id_b is the overflowed band_hash,
+    jaccard_millis the count of candidate pairs not examined there
+    (MAX_PAIRS_PER_GROUP), summed over bands."""
     docs = with_near_dups(_docs(sf_dir, ["doc_id", "text"]))
-    candidates = _coarse_candidate_pairs(
-        docs.map_batches(band_rows, batch_format="pyarrow", zero_copy_batch=True),
+    candidates = _candidate_pairs(
+        docs.map_batches(_minhash_bands, batch_format="pyarrow", zero_copy_batch=True),
         ["band", "band_hash"],
     )
     return _bucket_join_verify(candidates, docs, threshold_millis)
@@ -789,9 +718,10 @@ def simhash_dedup(sf_dir: str, max_hamming: int = 6) -> rd.Dataset:
     ≤ max_hamming bits overall.  Overflowed band groups are RECOVERED
     by full-signature re-banding (identical-sig classes emit all their
     hamming-0 pairs uncapped; see :func:`_emit_pairs`); rows with
-    ``doc_id_a == OVERFLOW_MARKER_ID`` report per-coarse-bucket
-    unexamined CROSS-sig pair counts where MAX_PAIRS_PER_GROUP still
-    bound."""
+    ``doc_id_a == OVERFLOW_MARKER_ID`` report, per overflowed band_hash
+    (``doc_id_b``) and summed over bands, the unexamined CROSS-sig pair
+    counts where MAX_PAIRS_PER_GROUP still bound."""
+    from .join import co_group
 
     def band_rows(batch: pa.Table) -> pa.Table:
         ids = batch.column("doc_id").to_pylist()
@@ -813,18 +743,10 @@ def simhash_dedup(sf_dir: str, max_hamming: int = 6) -> rd.Dataset:
             }
         )
 
-    def add_coarse(batch: pa.Table) -> pa.Table:
-        h = batch.column("band_hash").to_numpy(zero_copy_only=False)
-        return strip_schema_metadata(
-            batch.append_column(
-                "coarse", pa.array((h % _COARSE_BUCKETS).astype(np.int32))
-            )
-        )
-
-    def pairs_in_coarse(g: pd.DataFrame) -> pd.DataFrame:
+    def pairs_in_bucket(bands: pd.DataFrame) -> pd.DataFrame:
         a_out, b_out, h_out = [], [], []
-        dropped = 0
-        for _, sub in g.groupby(["band", "band_hash"], sort=False):
+        dropped: dict[int, int] = {}
+        for (_, bh), sub in bands.groupby(["band", "band_hash"], sort=False):
             if len(sub) < 2:
                 continue
             rows = sorted(set(zip(sub["doc_id"].tolist(), sub["sig"].tolist())))
@@ -875,13 +797,10 @@ def simhash_dedup(sf_dir: str, max_hamming: int = 6) -> rd.Dataset:
                         if emitted >= MAX_PAIRS_PER_GROUP:
                             capped = True
                             break
-            dropped += cross_total - examined
-        if dropped:
-            # overflow marker: candidate combinations never examined in
-            # this coarse group (cap bound) — visible, not silent
-            a_out.append(OVERFLOW_MARKER_ID)
-            b_out.append(int(g["coarse"].iloc[0]))
-            h_out.append(dropped)
+            if cross_total > examined:
+                # candidate combinations never examined (cap bound) —
+                # visible as an overflow marker, not silent
+                dropped[int(bh)] = dropped.get(int(bh), 0) + cross_total - examined
         df = pd.DataFrame(
             {
                 "doc_id_a": np.array(a_out, np.int64),
@@ -889,16 +808,12 @@ def simhash_dedup(sf_dir: str, max_hamming: int = 6) -> rd.Dataset:
                 "hamming": np.array(h_out, np.int64),
             }
         )
+        df = pd.concat([df, _overflow_rows(dropped, "hamming")], ignore_index=True)
         return df.drop_duplicates(subset=["doc_id_a", "doc_id_b"])
 
     docs = with_near_dups(_docs(sf_dir, ["doc_id", "text"]))
-    pairs = (
-        docs.map_batches(band_rows, batch_format="pyarrow", zero_copy_batch=True)
-        .map_batches(add_coarse, batch_format="pyarrow", zero_copy_batch=True)
-        .groupby("coarse")
-        .map_groups(arrow_udf(pairs_in_coarse), batch_format="pandas")
-    )
-    return _dedup_pairs(pairs)
+    bands = docs.map_batches(band_rows, batch_format="pyarrow", zero_copy_batch=True)
+    return _dedup_pairs(co_group(pairs_in_bucket, bands=(bands, "band_hash")))
 
 
 # -- n-gram Jaccard ---------------------------------------------------------
@@ -935,7 +850,7 @@ def ngram_jaccard_dedup(sf_dir: str, threshold_millis: int = 400) -> rd.Dataset:
         )
 
     docs = with_near_dups(_docs(sf_dir, ["doc_id", "text"]))
-    candidates = _coarse_candidate_pairs(
+    candidates = _candidate_pairs(
         docs.map_batches(anchor_rows, batch_format="pyarrow", zero_copy_batch=True),
         ["band_hash"],
     )
@@ -1129,15 +1044,20 @@ def substring_dedup(sf_dir: str) -> rd.Dataset:
     Training Data Makes Language Models Better", public method), where
     long substrings repeated across documents are cut.
 
-    Scale shape: the exchange carries (gram_hash64, doc_id) int pairs
-    (never gram text), coarse-bucketed on the hash; each coarse group
-    counts distinct docs per gram vectorized and emits one partial
-    (doc_id, n_shared) row per member of a shared gram; a second
-    coarse-bucket shuffle keyed on the doc id folds the partials with
-    the per-doc gram totals in a vectorized pandas sum.  A
-    count changes only if two distinct grams collide in 64 bits AND in
-    the same document pair — negligible, and absent on the oracle
-    corpus (the DuckDB mirror joins on gram text and hash-matches)."""
+    Scale shape: the exchange carries (gram_hash64, doc_id, n) int rows
+    (never gram text) in one gram-keyed :func:`~.join.co_group`; each
+    bucket counts distinct docs per gram vectorized and emits one
+    partial (doc_id, n_shared) row per member of a shared gram; a
+    doc_id-keyed co_group folds the partials in a vectorized pandas
+    sum.  The per-doc gram total rides the first exchange on the doc's
+    first gram row (``n``; 0 on the others), and a doc with no gram
+    sends one row keyed ``g = -1 - doc_id`` — no real gram (≥ 0) takes
+    that key — so the corpus is tokenized once and every doc gets a
+    row.  A count changes only if two distinct grams collide in 64 bits
+    AND in the same document pair — negligible, and absent on the
+    oracle corpus (the DuckDB mirror joins on gram text and
+    hash-matches)."""
+    from .join import co_group
 
     # positional odd multipliers: gram hash = Σ_k word_hash[i+k]·M[k]
     # over Z/2^64 — O(words) digests (memoized) + 8 vectorized adds per
@@ -1148,18 +1068,19 @@ def substring_dedup(sf_dir: str) -> rd.Dataset:
          0x94D049BB133111EB, 0xFF51AFD7ED558CCD], dtype=np.uint64)
 
     def gram_rows(batch: pa.Table) -> pa.Table:
-        ids = batch.column("doc_id").to_pylist()
-        texts = batch.column("text").to_pylist()
         out_g: list[np.ndarray] = []
         out_d: list[np.ndarray] = []
-        tot_d, tot_n = [], []
+        out_n: list[np.ndarray] = []
         word_cache: dict[str, int] = {}
         n = SUBSTR_NGRAM
-        for doc_id, text in zip(ids, texts):
+        for doc_id, text in zip(
+            batch.column("doc_id").to_pylist(), batch.column("text").to_pylist()
+        ):
             words = text.split()
             if len(words) < n:
-                tot_d.append(doc_id)
-                tot_n.append(0)
+                out_g.append(np.array([-1 - doc_id], np.int64))
+                out_d.append(np.array([doc_id], np.int64))
+                out_n.append(np.zeros(1, np.int64))
                 continue
             hs = np.fromiter(
                 (
@@ -1176,102 +1097,53 @@ def substring_dedup(sf_dir: str) -> rd.Dataset:
                 for k in range(n):
                     acc += hs[k : k + m] * mults[k]
             gvals = np.unique(acc)
-            tot_d.append(doc_id)
-            tot_n.append(len(gvals))
+            cnt = np.zeros(len(gvals), np.int64)
+            cnt[0] = len(gvals)
             out_g.append((gvals % np.uint64(1 << 62)).astype(np.int64))
             out_d.append(np.full(len(gvals), doc_id, np.int64))
-        g_arr = np.concatenate(out_g) if out_g else np.zeros(0, np.int64)
-        d_arr = np.concatenate(out_d) if out_d else np.zeros(0, np.int64)
-        n_g, n_t = len(g_arr), len(tot_d)
-        # gram rows carry kind=0; per-doc total rows ride along (kind=1,
-        # bucketed by doc hash) so the whole operator is two shuffles
+            out_n.append(cnt)
+        if not out_g:
+            out_g = out_d = out_n = [np.zeros(0, np.int64)]
         return pa.table(
             {
-                "g": pa.array(
-                    np.concatenate([g_arr, np.zeros(n_t, np.int64)])
-                ),
-                "doc_id": pa.array(
-                    np.concatenate([d_arr, np.array(tot_d, np.int64)])
-                ),
-                "n": pa.array(
-                    np.concatenate(
-                        [np.zeros(n_g, np.int64), np.array(tot_n, np.int64)]
-                    )
-                ),
-                "kind": pa.array(
-                    np.concatenate(
-                        [np.zeros(n_g, np.int32), np.ones(n_t, np.int32)]
-                    )
-                ),
+                "g": pa.array(np.concatenate(out_g)),
+                "doc_id": pa.array(np.concatenate(out_d)),
+                "n": pa.array(np.concatenate(out_n)),
             }
         )
 
-    def add_coarse(batch: pa.Table) -> pa.Table:
-        g = batch.column("g").to_numpy(zero_copy_only=False)
-        d = batch.column("doc_id").to_numpy(zero_copy_only=False)
-        kind = batch.column("kind").to_numpy(zero_copy_only=False)
-        key = np.where(kind == 0, g % _COARSE_BUCKETS, _COARSE_BUCKETS + (d % _COARSE_BUCKETS))
-        return strip_schema_metadata(
-            batch.append_column("coarse", pa.array(key.astype(np.int32)))
-        )
-
-    def partials(gdf: pd.DataFrame) -> pd.DataFrame:
-        if int(gdf["kind"].iloc[0]) == 1:
-            # total rows pass through as (doc_id, n_grams, 0)
-            return pd.DataFrame(
-                {
-                    "doc_id": gdf["doc_id"].to_numpy().astype(np.int64),
-                    "n_grams": gdf["n"].to_numpy().astype(np.int64),
-                    "n_shared_grams": np.zeros(len(gdf), np.int64),
-                }
-            )
-        # gram rows: a gram is shared when >= 2 distinct docs carry it
-        dd = gdf.drop_duplicates(subset=["g", "doc_id"])
+    def partials(grams: pd.DataFrame) -> pd.DataFrame:
+        # a real gram (g >= 0) is shared when >= 2 distinct docs carry it
+        dd = grams[grams["g"] >= 0].drop_duplicates(subset=["g", "doc_id"])
         nd = dd.groupby("g", sort=False)["doc_id"].transform("nunique")
-        shared = dd[nd >= 2]
-        per_doc = shared.groupby("doc_id", sort=False).size()
+        shared = dd[nd >= 2].groupby("doc_id", sort=False).size()
+        totals = grams[(grams["n"] > 0) | (grams["g"] < 0)]
         return pd.DataFrame(
             {
-                "doc_id": per_doc.index.to_numpy().astype(np.int64),
-                "n_grams": np.zeros(len(per_doc), np.int64),
-                "n_shared_grams": per_doc.to_numpy().astype(np.int64),
+                "doc_id": np.concatenate(
+                    [totals["doc_id"].to_numpy(np.int64), shared.index.to_numpy(np.int64)]
+                ),
+                "n_grams": np.concatenate(
+                    [totals["n"].to_numpy(np.int64), np.zeros(len(shared), np.int64)]
+                ),
+                "n_shared_grams": np.concatenate(
+                    [np.zeros(len(totals), np.int64), shared.to_numpy(np.int64)]
+                ),
             }
         )
 
-    def rekey_by_doc(batch: pa.Table) -> pa.Table:
-        d = batch.column("doc_id").to_numpy(zero_copy_only=False)
-        return strip_schema_metadata(
-            batch.append_column(
-                "dkey", pa.array((d % _COARSE_BUCKETS).astype(np.int32))
-            )
-        )
-
-    def final_sum(g: pd.DataFrame) -> pd.DataFrame:
-        agg = g.groupby("doc_id", sort=False)[
+    def final_sum(parts: pd.DataFrame) -> pd.DataFrame:
+        return parts.groupby("doc_id", as_index=False)[
             ["n_grams", "n_shared_grams"]
         ].sum()
-        return pd.DataFrame(
-            {
-                "doc_id": agg.index.to_numpy().astype(np.int64),
-                "n_grams": agg["n_grams"].to_numpy().astype(np.int64),
-                "n_shared_grams": agg["n_shared_grams"]
-                .to_numpy()
-                .astype(np.int64),
-            }
-        )
 
     docs = with_near_dups(_docs(sf_dir, ["doc_id", "text"]))
-    # the final per-doc combine is another coarse-bucket shuffle +
-    # vectorized pandas sum — Ray's sort-based Aggregate measured ~10x
-    # slower on the same (doc_id, int, int) partial rows
-    return (
-        docs.map_batches(gram_rows, batch_format="pyarrow", zero_copy_batch=True)
-        .map_batches(add_coarse, batch_format="pyarrow", zero_copy_batch=True)
-        .groupby("coarse")
-        .map_groups(arrow_udf(partials), batch_format="pandas")
-        .map_batches(rekey_by_doc, batch_format="pyarrow", zero_copy_batch=True)
-        .groupby("dkey")
-        .map_groups(arrow_udf(final_sum), batch_format="pandas")
+    grams = docs.map_batches(gram_rows, batch_format="pyarrow", zero_copy_batch=True)
+    # the per-doc combine is a second co_group + vectorized pandas sum —
+    # Ray's sort-based Aggregate measured ~10x slower on the same
+    # (doc_id, int, int) partial rows
+    return co_group(
+        final_sum, parts=(co_group(partials, grams=(grams, "g")), "doc_id")
     )
 
 
@@ -1348,76 +1220,40 @@ def incremental_dedup(sf_dir: str, threshold_millis: int = 500) -> rd.Dataset:
     delta never pairs with itself, and the base (the 100-TB side) is
     touched only by streaming passes.
 
-    Scale shape: nothing on the driver, THREE exchanges total (r05;
-    was five in r04 — each exchange carries ~1 s of fixed AllToAll
-    cost at sf0.1, so exchange count IS the wall-time here).
-    (1) MinHash band rows from BOTH sides meet in one coarse groupby
-    and emit only delta-x-base candidates (capped per band bucket
-    with the usual overflow markers).  Exact duplicates need no
+    Scale shape: nothing on the driver, THREE :func:`~.join.co_group`
+    exchanges (each carries ~1 s of fixed AllToAll cost at sf0.1, so
+    exchange count IS the wall-time here).
+    (1) MinHash band rows of the delta and base sides meet on
+    band_hash and emit only delta-x-base candidates (capped per band
+    group with the usual overflow markers).  Exact duplicates need no
     separate digest pass: byte-identical texts have byte-identical
     signatures, so they collide in EVERY band, and the full-signature
     ``sec`` recovery emits same-signature pairs uncapped — an exact
-    pair can never be lost to the cap.  (2) Pair halves co-shuffle
-    with (doc_id, text) rows on hash(doc_id) to attach texts.
-    (3) Attached halves re-key on hash(doc_id_a) — doc_id_a is
-    always the delta side — together with one bare id row per delta
-    doc, so the group that verifies a doc's pairs (byte equality ⇒
-    exact, word-3-gram Jaccard ≥ threshold ⇒ near) also assembles
-    its final verdict; docs with no surviving pair emit 'new'.
-    Overflow markers surface as (doc_id = OVERFLOW_MARKER_ID,
-    verdict = 'overflow:N') rows — absent on the oracle corpora."""
+    pair can never be lost to the cap.  (2) :func:`_attach_texts`, the
+    verify attach step.  (3) Attached halves meet one bare id row per
+    delta doc on doc_id_a — always the delta side — so the group that
+    verifies a doc's pairs (byte equality ⇒ exact, word-3-gram Jaccard
+    ≥ threshold ⇒ near) also assembles its final verdict; docs with no
+    surviving pair emit 'new'.  Overflow markers surface as (doc_id =
+    OVERFLOW_MARKER_ID, verdict = 'overflow:N') rows, one per
+    overflowed band_hash — absent on the oracle corpora."""
+    from .join import co_group
+
     base = _base_corpus(sf_dir)
     delta = _delta_corpus(sf_dir)
 
-    # -- exchange 1: MinHash bands -> cross-side candidate pairs ----------
-    def band_rows(is_base: int):
-        def f(batch: pa.Table) -> pa.Table:
-            ids = batch.column("doc_id").to_pylist()
-            texts = batch.column("text").to_pylist()
-            out_band, out_hash, out_id, out_sec = [], [], [], []
-            word_cache: dict[str, int] = {}
-            for doc_id, text in zip(ids, texts):
-                sig = minhash_signature(text, word_cache)
-                sec = int(zlib.crc32(sig.tobytes()))
-                for band in range(_LSH_BANDS):
-                    chunk = sig[band * _LSH_ROWS : (band + 1) * _LSH_ROWS]
-                    out_band.append(band)
-                    out_hash.append(int(zlib.crc32(chunk.tobytes())))
-                    out_id.append(doc_id)
-                    out_sec.append(sec)
-            n = len(out_id)
-            return pa.table(
-                {
-                    "band": pa.array(out_band, pa.int32()),
-                    "band_hash": pa.array(out_hash, pa.int64()),
-                    "doc_id": pa.array(out_id, pa.int64()),
-                    "sec": pa.array(out_sec, pa.int64()),
-                    "is_base": pa.array(np.full(n, is_base, np.int8)),
-                }
-            )
-
-        return f
-
-    def add_coarse(batch: pa.Table) -> pa.Table:
-        bh = batch.column("band_hash").to_numpy(zero_copy_only=False)
-        bd = batch.column("band").to_numpy(zero_copy_only=False).astype(np.int64)
-        coarse = (bh * 31 + bd) % _COARSE_BUCKETS
-        return batch.append_column("coarse", pa.array(coarse.astype(np.int64)))
-
-    def cross_pairs(g: pd.DataFrame) -> pd.DataFrame:
+    def cross_pairs(delta: pd.DataFrame, base: pd.DataFrame) -> pd.DataFrame:
         a_out: list[int] = []
         b_out: list[int] = []
-        dropped = 0
-        for _, sub in g.groupby(["band", "band_hash"], sort=False):
-            side = sub["is_base"].to_numpy()
-            d_rows = sorted(
-                set(zip(sub.loc[side == 0, "doc_id"], sub.loc[side == 0, "sec"]))
-            )
-            b_rows = sorted(
-                set(zip(sub.loc[side == 1, "doc_id"], sub.loc[side == 1, "sec"]))
-            )
-            if not d_rows or not b_rows:
+        dropped: dict[int, int] = {}
+        keys = ["band", "band_hash"]
+        base_idx = {} if base.empty else base.groupby(keys, sort=False).indices
+        for key, dsub in ([] if delta.empty else delta.groupby(keys, sort=False)):
+            if key not in base_idx:
                 continue
+            bsub = base.iloc[base_idx[key]]
+            d_rows = sorted(set(zip(dsub["doc_id"], dsub["sec"])))
+            b_rows = sorted(set(zip(bsub["doc_id"], bsub["sec"])))
             total = len(d_rows) * len(b_rows)
             if total <= MAX_PAIRS_PER_GROUP:
                 # cap cannot bind: every delta x base pair
@@ -1452,7 +1288,9 @@ def incremental_dedup(sf_dir: str, threshold_millis: int = 500) -> rd.Dataset:
                     a_out.extend([int(d_ids[i])] * take)
                     b_out.extend(partners[:take].tolist())
                     emitted += take
-            dropped += cross_total - emitted
+            if cross_total > emitted:
+                bh = int(key[1])
+                dropped[bh] = dropped.get(bh, 0) + cross_total - emitted
         df = pd.DataFrame(
             {
                 "doc_id_a": np.array(a_out, np.int64),
@@ -1460,207 +1298,62 @@ def incremental_dedup(sf_dir: str, threshold_millis: int = 500) -> rd.Dataset:
             }
         ).drop_duplicates()
         df["n_overflow"] = np.zeros(len(df), np.int64)
-        if dropped:
-            df = pd.concat(
-                [
-                    df,
-                    pd.DataFrame(
-                        {
-                            "doc_id_a": np.array([OVERFLOW_MARKER_ID], np.int64),
-                            "doc_id_b": np.array([int(g["coarse"].iloc[0])], np.int64),
-                            "n_overflow": np.array([dropped], np.int64),
-                        }
-                    ),
-                ],
-                ignore_index=True,
-            )
-        return df
+        return pd.concat([df, _overflow_rows(dropped, "n_overflow")], ignore_index=True)
 
-    candidates = (
-        base.map_batches(band_rows(1), batch_format="pyarrow", zero_copy_batch=True)
-        .union(
-            delta.map_batches(
-                band_rows(0), batch_format="pyarrow", zero_copy_batch=True
-            )
-        )
-        .map_batches(add_coarse, batch_format="pyarrow", zero_copy_batch=True)
-        .groupby("coarse")
-        .map_groups(arrow_udf(cross_pairs), batch_format="pandas")
-    )
+    _VERDICT = {0: "new", 1: "near_dup", 2: "exact_dup"}
 
-    # -- exchange 2: attach texts to pair halves (the _bucket_join_verify
-    # attach stage, shared shape; markers ride side=3) --------------------
-    def halves(batch: pa.Table) -> pa.Table:
-        a_all = batch.column("doc_id_a").to_numpy(zero_copy_only=False).astype(np.int64)
-        b_all = batch.column("doc_id_b").to_numpy(zero_copy_only=False).astype(np.int64)
-        is_marker = a_all < 0
-        a, b = a_all[~is_marker], b_all[~is_marker]
-        n = len(a)
-        keys = [np.concatenate([_id_bucket(a), _id_bucket(b)])]
-        ids_a = [np.concatenate([a, a])]
-        ids_b = [np.concatenate([b, b])]
-        sides = [np.concatenate([np.zeros(n, np.int32), np.ones(n, np.int32)])]
-        texts: list = [None] * (2 * n)
-        if is_marker.any():
-            ovf = (
-                batch.column("n_overflow")
-                .to_numpy(zero_copy_only=False)
-                .astype(np.int64)[is_marker]
-            )
-            mb = b_all[is_marker]
-            keys.append(_id_bucket(mb))
-            ids_a.append(a_all[is_marker])
-            ids_b.append(mb)
-            sides.append(np.full(len(mb), 3, np.int32))
-            texts.extend(str(int(v)) for v in ovf)  # count rides the text col
-        return pa.table(
-            {
-                "key": pa.array(np.concatenate(keys)),
-                "doc_id_a": pa.array(np.concatenate(ids_a)),
-                "doc_id_b": pa.array(np.concatenate(ids_b)),
-                "side": pa.array(np.concatenate(sides)),
-                "text": pa.array(texts, pa.large_string()),
-            }
-        )
-
-    def text_rows(batch: pa.Table) -> pa.Table:
-        ids = batch.column("doc_id").to_numpy(zero_copy_only=False).astype(np.int64)
-        return pa.table(
-            {
-                "key": pa.array(_id_bucket(ids)),
-                "doc_id_a": pa.array(ids),
-                "doc_id_b": pa.array(np.zeros(len(ids), np.int64)),
-                "side": pa.array(np.full(len(ids), 2, np.int32)),
-                "text": batch.column("text").cast(pa.large_string()),
-            }
-        )
-
-    def attach(g: pd.DataFrame) -> pd.DataFrame:
-        is_text = g["side"].to_numpy() == 2
-        lookup = dict(
-            zip(g["doc_id_a"].to_numpy()[is_text], g["text"].to_numpy()[is_text])
-        )
-        h = g[~is_text]
-        sides = h["side"].to_numpy()
-        need = np.where(sides == 0, h["doc_id_a"].to_numpy(), h["doc_id_b"].to_numpy())
-        orig = h["text"].to_numpy()
-        texts_got = [
-            o if s == 3 else lookup.get(i)
-            for i, s, o in zip(need, sides, orig)
-        ]
-        keep = np.array([t is not None for t in texts_got], dtype=bool)
-        return pd.DataFrame(
-            {
-                "doc_id_a": h["doc_id_a"].to_numpy()[keep].astype(np.int64),
-                "doc_id_b": h["doc_id_b"].to_numpy()[keep].astype(np.int64),
-                "side": sides[keep].astype(np.int32),
-                "text": pd.array(
-                    [t for t, k in zip(texts_got, keep) if k], dtype=object
-                ),
-            }
-        )
-
-    # -- exchange 3: re-key on hash(doc_id_a) (= the delta side) so pair
-    # verification and per-doc verdict assembly share ONE group ----------
-    def add_doc_key(batch: pa.Table) -> pa.Table:
-        a = batch.column("doc_id_a").to_numpy(zero_copy_only=False).astype(np.int64)
-        return strip_schema_metadata(
-            batch.append_column("vkey", pa.array(_id_bucket(a)))
-        )
-
-    def delta_id_rows(batch: pa.Table) -> pa.Table:
-        ids = batch.column("doc_id").to_numpy(zero_copy_only=False).astype(np.int64)
-        n = len(ids)
-        return pa.table(
-            {
-                "doc_id_a": pa.array(ids),
-                "doc_id_b": pa.array(np.zeros(n, np.int64)),
-                "side": pa.array(np.full(n, 4, np.int32)),
-                "text": pa.array([None] * n, pa.large_string()),
-                "vkey": pa.array(_id_bucket(ids)),
-            }
-        )
-
-    def verdict_group(g: pd.DataFrame) -> pd.DataFrame:
+    def verdicts(pairs: pd.DataFrame, delta: pd.DataFrame) -> pa.Table:
+        # every delta doc of this bucket has exactly one id row
+        pri = {} if delta.empty else dict.fromkeys(delta["doc_id"].tolist(), 0)
         out_ids: list[int] = []
         out_v: list[str] = []
-        sides = g["side"].to_numpy()
-        is_marker = sides == 3
-        if is_marker.any():
-            for _, row in g[is_marker].iterrows():
-                out_ids.append(int(row["doc_id_a"]))
-                out_v.append(f"overflow:{int(row['text'])}")
-            g = g[~is_marker]
-            sides = g["side"].to_numpy()
-        # every delta doc in this bucket has exactly one side-4 id row
-        pri: dict[int, int] = {
-            int(i): 0 for i in g.loc[sides == 4, "doc_id_a"].to_numpy()
-        }
-        pairs = g[(sides == 0) | (sides == 1)].drop_duplicates(
-            subset=["doc_id_a", "doc_id_b", "side"]
-        )
-        shingle_memo: dict[int, set[str]] = {}
-
-        def shingles_of(doc_id: int, text: str) -> set[str]:
-            s = shingle_memo.get(doc_id)
-            if s is None:
-                s = shingle_memo[doc_id] = _word_shingles(text)
-            return s
-
-        for (a, b), sub in pairs.groupby(["doc_id_a", "doc_id_b"], sort=False):
-            ta = tb = None
-            for side, text in zip(sub["side"], sub["text"]):
-                if side == 0:
-                    ta = text
-                else:
-                    tb = text
-            if ta is None or tb is None:
-                continue
-            a = int(a)
-            if ta == tb:  # byte equality — the oracle's exact_dup rule
-                pri[a] = max(pri.get(a, 0), 2)
-                continue
-            score = int(
-                _jaccard(shingles_of(a, ta), shingles_of(int(b), tb)) * 1000
-            )
-            if score >= threshold_millis:
-                pri[a] = max(pri.get(a, 0), 1)
-        _VERDICT = {0: "new", 1: "near_dup", 2: "exact_dup"}
-        for i, p in pri.items():
-            out_ids.append(i)
-            out_v.append(_VERDICT[p])
-        return pd.DataFrame(
+        if not pairs.empty:
+            m = pairs["side"].to_numpy() == 3
+            marks = pairs[m].drop_duplicates(subset=["doc_id_a", "doc_id_b"])
+            out_ids.extend(marks["doc_id_a"].tolist())
+            out_v.extend(f"overflow:{int(t)}" for t in marks["text"])
+            for a, _, same, score in _scored_pairs(pairs[~m]):
+                # byte equality is the oracle's exact_dup rule
+                p = 2 if same else 1 if score >= threshold_millis else 0
+                pri[a] = max(pri.get(a, 0), p)
+        out_ids.extend(pri)
+        out_v.extend(_VERDICT[p] for p in pri.values())
+        return pa.table(
             {
-                "doc_id": np.array(out_ids, np.int64),
-                "verdict": pd.array(out_v, dtype=object),
+                "doc_id": pa.array(out_ids, pa.int64()),
+                "verdict": pa.array(out_v, pa.string()),
             }
         )
 
-    attached = (
-        candidates.map_batches(halves, batch_format="pyarrow", zero_copy_batch=True)
-        .union(
-            base.union(delta).map_batches(
-                text_rows, batch_format="pyarrow", zero_copy_batch=True
-            )
+    def bands(ds: rd.Dataset) -> "tuple[rd.Dataset, str]":
+        return (
+            ds.map_batches(_minhash_bands, batch_format="pyarrow", zero_copy_batch=True),
+            "band_hash",
         )
-        .groupby("key")
-        .map_groups(arrow_udf(attach), batch_format="pandas")
-    )
-    return (
-        attached.map_batches(
-            add_doc_key, batch_format="pyarrow", zero_copy_batch=True
-        )
-        .union(
-            delta.map_batches(
-                delta_id_rows, batch_format="pyarrow", zero_copy_batch=True
-            )
-        )
-        .groupby("vkey")
-        .map_groups(arrow_udf(verdict_group), batch_format="pandas")
+
+    candidates = co_group(cross_pairs, delta=bands(delta), base=bands(base))
+    return co_group(
+        verdicts,
+        pairs=(_attach_texts(candidates, base.union(delta)), "doc_id_a"),
+        delta=(delta.select_columns(["doc_id"]), "doc_id"),
     )
 
 
 # -- soft dedup: down-weight duplicates instead of dropping -------------------
+
+
+def _norm_hash_rows(batch: pa.Table) -> pa.Table:
+    """The batch with ``text`` replaced by its normalized md5
+    ``text_hash`` and that digest's crc32 ``h`` — the co_group key that
+    routes every member of a duplicate group to one bucket."""
+    from .analysis import _crc32s
+
+    hashes = _norm_md5s(batch.column("text"))
+    return (
+        batch.drop_columns(["text"])
+        .append_column("h", _crc32s(hashes))
+        .append_column("text_hash", pa.array(hashes, pa.string()))
+    )
 
 
 def soft_dedup_weights(sf_dir: str) -> rd.Dataset:
@@ -1671,53 +1364,29 @@ def soft_dedup_weights(sf_dir: str) -> rd.Dataset:
     collapse md5 as :func:`normalized_dedup`), so a group's total
     sampling mass stays ≈1 regardless of how often it was crawled.
 
-    Scale shape: ONE coarse exchange.  The hash pass is the same three
-    vectorized Arrow RE2 kernels + md5 digest as normalized_dedup; rows
-    carry (coarse bucket from the digest's leading 8 hex, digest,
+    Scale shape: ONE :func:`~.join.co_group` keyed on the digest's
+    crc32.  The hash pass is the same three vectorized Arrow RE2
+    kernels + md5 digest as normalized_dedup; rows carry (key, digest,
     doc_id) — never text — and each bucket computes its group sizes
     with one vectorized pandas transform (a digest lives wholly in its
     bucket, so sizes are exact).  Per-doc output rides the same
     exchange; no second shuffle, no driver state."""
-    import pandas as pd
-    import pyarrow.compute as pc
+    from .join import co_group
 
-    from .io_util import arrow_udf
-
-    def add_norm_hash(batch: pa.Table) -> pa.Table:
-        x = pc.utf8_lower(batch.column("text"))
-        x = pc.replace_substring_regex(x, pattern=r"[^a-z0-9 ]+", replacement="")
-        x = pc.replace_substring_regex(x, pattern=r" +", replacement=" ")
-        x = pc.utf8_trim(x, characters=" ")
-        hashes = [
-            hashlib.md5(t.encode("utf-8")).hexdigest() for t in x.to_pylist()
-        ]
-        coarse = np.array(
-            [int(h[:8], 16) % _COARSE_BUCKETS for h in hashes], np.int32
-        )
-        return pa.table(
-            {
-                "coarse": pa.array(coarse),
-                "text_hash": pa.array(hashes, pa.string()),
-                "doc_id": batch.column("doc_id"),
-            }
-        )
-
-    def weights(g: pd.DataFrame) -> pd.DataFrame:
-        n = g.groupby("text_hash")["doc_id"].transform("size").to_numpy(np.int64)
+    def weights(docs: pd.DataFrame) -> pd.DataFrame:
+        n = docs.groupby("text_hash")["doc_id"].transform("size").to_numpy(np.int64)
         return pd.DataFrame(
             {
-                "doc_id": g["doc_id"].to_numpy(np.int64),
+                "doc_id": docs["doc_id"].to_numpy(np.int64),
                 "n_members": n,
                 "weight_micros": 1_000_000 // n,
             }
         )
 
-    return (
-        _docs(sf_dir, ["doc_id", "text"])
-        .map_batches(add_norm_hash, batch_format="pyarrow", zero_copy_batch=True)
-        .groupby("coarse")
-        .map_groups(arrow_udf(weights), batch_format="pandas")
+    docs = _docs(sf_dir, ["doc_id", "text"]).map_batches(
+        _norm_hash_rows, batch_format="pyarrow", zero_copy_batch=True
     )
+    return co_group(weights, docs=(docs, "h"))
 
 
 def dup_group_sizes(sf_dir: str) -> rd.Dataset:
@@ -1725,37 +1394,15 @@ def dup_group_sizes(sf_dir: str) -> rd.Dataset:
     the normalized-text dedup — the first diagnostic a curation run
     reports (how much of the corpus is 1×, 2×, 10× crawled).
 
-    Scale shape: the same single coarse digest-keyed exchange as
+    Scale shape: the same digest-keyed :func:`~.join.co_group` as
     :func:`soft_dedup_weights`, but each bucket collapses straight to
     its LOCAL size histogram (a digest lives wholly in its bucket), so
-    the second exchange carries ≤ buckets × distinct-size rows into a
-    constant-key combine — group membership never leaves the bucket."""
-    import pandas as pd
-    import pyarrow.compute as pc
+    the keyless final fold reads ≤ buckets × distinct-size rows —
+    group membership never leaves the bucket."""
+    from .join import co_group
 
-    from .io_util import arrow_udf
-
-    def add_norm_hash(batch: pa.Table) -> pa.Table:
-        x = pc.utf8_lower(batch.column("text"))
-        x = pc.replace_substring_regex(x, pattern=r"[^a-z0-9 ]+", replacement="")
-        x = pc.replace_substring_regex(x, pattern=r" +", replacement=" ")
-        x = pc.utf8_trim(x, characters=" ")
-        hashes = [
-            hashlib.md5(t.encode("utf-8")).hexdigest() for t in x.to_pylist()
-        ]
-        coarse = np.array(
-            [int(h[:8], 16) % _COARSE_BUCKETS for h in hashes], np.int32
-        )
-        return pa.table(
-            {
-                "coarse": pa.array(coarse),
-                "text_hash": pa.array(hashes, pa.string()),
-            }
-        )
-
-    def bucket_hist(g: pd.DataFrame) -> pd.DataFrame:
-        sizes = g.groupby("text_hash").size()
-        h = sizes.value_counts()
+    def bucket_hist(docs: pd.DataFrame) -> pd.DataFrame:
+        h = docs.groupby("text_hash").size().value_counts()
         return pd.DataFrame(
             {
                 "n_members": h.index.to_numpy(np.int64),
@@ -1763,22 +1410,13 @@ def dup_group_sizes(sf_dir: str) -> rd.Dataset:
             }
         )
 
-    def combine(g: pd.DataFrame) -> pd.DataFrame:
-        return pd.DataFrame(
-            {
-                "n_members": np.array([g["n_members"].iloc[0]], np.int64),
-                "n_groups": np.array([g["n_groups"].sum()], np.int64),
-            }
-        )
+    def combine(hist: pd.DataFrame) -> pd.DataFrame:
+        return hist.groupby("n_members", as_index=False)["n_groups"].sum()
 
-    return (
-        _docs(sf_dir, ["text"])
-        .map_batches(add_norm_hash, batch_format="pyarrow", zero_copy_batch=True)
-        .groupby("coarse")
-        .map_groups(arrow_udf(bucket_hist), batch_format="pandas")
-        .groupby("n_members")
-        .map_groups(arrow_udf(combine), batch_format="pandas")
+    docs = _docs(sf_dir, ["text"]).map_batches(
+        _norm_hash_rows, batch_format="pyarrow", zero_copy_batch=True
     )
+    return co_group(combine, hist=(co_group(bucket_hist, docs=(docs, "h")), None))
 
 
 # -- cross-source duplicate overlap ------------------------------------------------
@@ -1799,36 +1437,24 @@ def cross_source_overlap(sf_dir: str) -> rd.Dataset:
     md5) appear in both — the cross-source contamination matrix that
     decides whether two crawls/feeds can be mixed without re-dedup.
 
-    Scale shape: per-batch distinct (hash, source) partials keyed by a
-    stable int64 of the hash so each bucket owns its hashes' COMPLETE
-    source sets; pair emission is bounded by (distinct sources in the
-    group)² per hash, never corpus-sized, and the final combine folds
-    ≤ buckets rows per pair."""
+    Scale shape: per-batch distinct (hash, source) partials in one
+    :func:`~.join.co_group` keyed on a stable int64 of the hash, so
+    each bucket owns its hashes' COMPLETE source sets; pair emission
+    is bounded by (distinct sources in the group)² per hash, never
+    corpus-sized, and the keyless final fold reads ≤ buckets rows per
+    pair."""
     import itertools
 
-    import pandas as pd
-    import pyarrow.compute as pc
-
-    buckets = 64
+    from .join import co_group
 
     def partials(batch: pa.Table) -> pa.Table:
-        x = pc.utf8_lower(batch.column("text"))
-        x = pc.replace_substring_regex(x, pattern=r"[^a-z0-9 ]+", replacement="")
-        x = pc.replace_substring_regex(x, pattern=r" +", replacement=" ")
-        x = pc.utf8_trim(x, characters=" ")
+        hashes = _norm_md5s(batch.column("text"))
         srcs = batch.column("source").to_pylist()
         ids = batch.column("doc_id").to_pylist()
-        texts = x.to_pylist()
-        seen = {
-            (hashlib.md5(t.encode("utf-8")).hexdigest(), s)
-            for t, s in zip(texts, srcs)
-        }
+        seen = set(zip(hashes, srcs))
         seen |= {
-            (
-                hashlib.md5(t.encode("utf-8")).hexdigest(),
-                f"src{(i + CLONE_SHIFT) % CLONE_SOURCES}",
-            )
-            for t, i in zip(texts, ids)
+            (h, f"src{(i + CLONE_SHIFT) % CLONE_SOURCES}")
+            for h, i in zip(hashes, ids)
             if i % CLONE_MOD == 0
         }
         th = [h for h, _ in seen]
@@ -1837,46 +1463,32 @@ def cross_source_overlap(sf_dir: str) -> rd.Dataset:
         ).view(np.int64)
         return pa.table(
             {
-                "bkt": pa.array((hh % buckets).astype(np.int32)),
+                "hh": pa.array(hh),
                 "th": pa.array(th, pa.string()),
                 "source": pa.array([s for _, s in seen], pa.string()),
             }
         )
 
-    def pairs(g: pd.DataFrame) -> pd.DataFrame:
-        t = g.drop_duplicates(["th", "source"])
+    def pairs(seen: pd.DataFrame) -> pd.DataFrame:
+        t = seen.drop_duplicates(["th", "source"])
         out_a, out_b = [], []
         for _, grp in t.groupby("th", sort=False):
-            ss = sorted(grp["source"])
-            for a, b in itertools.combinations(ss, 2):
+            for a, b in itertools.combinations(sorted(grp["source"]), 2):
                 out_a.append(a)
                 out_b.append(b)
-        df = pd.DataFrame({"source_a": out_a, "source_b": out_b})
-        out = df.groupby(["source_a", "source_b"], as_index=False).size().rename(
-            columns={"size": "n_shared"}
-        )
-        out["n_shared"] = out["n_shared"].astype(np.int64)
-        return out
+        df = pd.DataFrame({"source_a": out_a, "source_b": out_b}, dtype=object)
+        out = df.groupby(["source_a", "source_b"], as_index=False).size()
+        return out.rename(columns={"size": "n_shared"}).astype({"n_shared": np.int64})
 
-    def combine(g: pd.DataFrame) -> pd.DataFrame:
-        return pd.DataFrame(
-            {
-                "source_a": [g["source_a"].iloc[0]],
-                "source_b": [g["source_b"].iloc[0]],
-                "n_shared": np.array([g["n_shared"].sum()], np.int64),
-            }
-        )
+    def combine(counts: pd.DataFrame) -> pd.DataFrame:
+        return counts.groupby(["source_a", "source_b"], as_index=False)[
+            "n_shared"
+        ].sum()
 
-    from .io_util import arrow_udf
-
-    return (
-        _docs(sf_dir, ["doc_id", "source", "text"])
-        .map_batches(partials, batch_format="pyarrow", zero_copy_batch=True)
-        .groupby("bkt")
-        .map_groups(arrow_udf(pairs), batch_format="pandas")
-        .groupby(["source_a", "source_b"])
-        .map_groups(arrow_udf(combine), batch_format="pandas")
+    seen = _docs(sf_dir, ["doc_id", "source", "text"]).map_batches(
+        partials, batch_format="pyarrow", zero_copy_batch=True
     )
+    return co_group(combine, counts=(co_group(pairs, seen=(seen, "hh")), None))
 
 
 # -- fuzzy string join (edit distance 1) ----------------------------------------
@@ -1898,29 +1510,23 @@ def fuzzy_name_pairs(sf_dir: str) -> rd.Dataset:
     pass is needed; candidates are distance-1-true by construction and
     never verified row-wise.
 
-    Scale shape: one name-hash exchange makes names distinct, a second
-    key-hash exchange buckets the ≤ (len+1) deletion keys per name;
-    pairs emit in-bucket.  Both exchanges carry short strings only."""
-    import zlib as _z
-
-    buckets = 256
+    Scale shape: one name-keyed :func:`~.join.co_group` makes names
+    distinct, a second, keyed on the deletion key, buckets the
+    ≤ (len+1) deletion keys per name; pairs emit in-bucket.  Both
+    exchanges carry short strings only, keyed on their crc32."""
+    from .analysis import _crc32s
+    from .join import co_group
 
     def distinct_partials(batch: pa.Table) -> pa.Table:
         names = pa.table({"name": batch.column("p_name")}).group_by(
             ["name"]
         ).aggregate([])
         arr = names.column("name")
-        crc = np.array(
-            [_z.crc32(s.encode()) for s in arr.to_pylist()], np.int64
-        )
-        return pa.table(
-            {"bkt": pa.array((crc % buckets).astype(np.int32)), "name": arr}
-        )
+        return pa.table({"h": _crc32s(arr.to_pylist()), "name": arr})
 
-    def to_keys(g: pd.DataFrame) -> pa.Table:
-        names = g["name"].drop_duplicates().tolist()
-        out_bkt, out_key, out_name, out_role = [], [], [], []
-        for s in names:
+    def to_keys(names: pd.DataFrame) -> pa.Table:
+        out_key, out_name, out_role = [], [], []
+        for s in names["name"].drop_duplicates().tolist():
             # identity row of the indel family (the shorter side)
             out_key.append("D:" + s)
             out_name.append(s)
@@ -1933,19 +1539,18 @@ def fuzzy_name_pairs(sf_dir: str) -> rd.Dataset:
                 out_key.append("D:" + d)  # candidate from the longer side
                 out_name.append(s)
                 out_role.append(2)
-        crc = np.array([_z.crc32(k.encode()) for k in out_key], np.int64)
         return pa.table(
             {
-                "bkt": pa.array((crc % buckets).astype(np.int32)),
+                "h": _crc32s(out_key),
                 "key": pa.array(out_key, pa.string()),
                 "name": pa.array(out_name, pa.string()),
                 "role": pa.array(out_role, pa.int8()),
             }
         )
 
-    def pairs_in_bucket(g: pd.DataFrame) -> pa.Table:
+    def pairs_in_bucket(keys: pd.DataFrame) -> pa.Table:
         out_a, out_b = [], []
-        for key, grp in g.groupby("key", sort=False):
+        for key, grp in keys.groupby("key", sort=False):
             if key.startswith("S:"):
                 cands = sorted(set(grp.loc[grp["role"] == 1, "name"]))
                 for i in range(len(cands)):
@@ -1967,14 +1572,11 @@ def fuzzy_name_pairs(sf_dir: str) -> rd.Dataset:
             }
         )
 
-    return (
-        _t_part(sf_dir)
-        .map_batches(distinct_partials, batch_format="pyarrow", zero_copy_batch=True)
-        .groupby("bkt")
-        .map_groups(arrow_udf(to_keys), batch_format="pandas")
-        .groupby("bkt")
-        .map_groups(arrow_udf(pairs_in_bucket), batch_format="pandas")
+    names = _t_part(sf_dir).map_batches(
+        distinct_partials, batch_format="pyarrow", zero_copy_batch=True
     )
+    keys = co_group(to_keys, names=(names, "h"))
+    return co_group(pairs_in_bucket, keys=(keys, "h"))
 
 
 def _t_part(sf_dir: str) -> rd.Dataset:
@@ -2002,12 +1604,13 @@ def near_dup_rate_by_source(sf_dir: str) -> rd.Dataset:
     source — so ``mirror`` reads 100% and real feeds read the
     re-delivery rate.
 
-    Scale shape: clone injection is map-only; one md5-keyed exchange of
-    narrow (hash, doc_id, source) rows; each group emits per-source
-    (n, dups) partials — a group lives wholly in one bucket so the
-    survivor rule is exact — and a source-keyed combine folds
-    ≤ groups × sources rows."""
-    import pandas as pd
+    Scale shape: clone injection is map-only; one md5-keyed
+    :func:`~.join.co_group` of narrow (hash, doc_id, source) rows; each
+    bucket emits per-source (n, dups) partials — a group lives wholly
+    in one bucket so the survivor rule is exact — and a keyless fold
+    sums ≤ buckets × sources rows."""
+    from .analysis import _crc32s
+    from .join import co_group
 
     def add_hash(batch: pa.Table) -> pa.Table:
         ids = batch.column("doc_id").to_pylist()
@@ -2029,53 +1632,33 @@ def near_dup_rate_by_source(sf_dir: str) -> rd.Dataset:
                 out_src.append(s)
         return pa.table(
             {
+                "h": _crc32s(out_h),
                 "text_hash": pa.array(out_h, pa.string()),
                 "doc_id": pa.array(out_id, pa.int64()),
                 "source": pa.array(out_src, pa.string()),
             }
         )
 
-    def group_partials(g: pd.DataFrame) -> pd.DataFrame:
-        keep = g.loc[g.groupby("text_hash")["doc_id"].idxmin()]
+    def group_partials(docs: pd.DataFrame) -> pd.DataFrame:
+        keep = docs.loc[docs.groupby("text_hash")["doc_id"].idxmin()]
         surv = set(zip(keep["text_hash"], keep["doc_id"]))
         is_dup = ~pd.Series(
-            list(zip(g["text_hash"], g["doc_id"])), index=g.index
+            list(zip(docs["text_hash"], docs["doc_id"])), index=docs.index
         ).isin(surv)
-        out = g.assign(dup=is_dup.to_numpy()).groupby(
+        out = docs.assign(dup=is_dup.to_numpy()).groupby(
             "source", as_index=False
         ).agg(n_docs=("dup", "size"), n_dups=("dup", "sum"))
-        out["n_docs"] = out["n_docs"].astype(np.int64)
-        out["n_dups"] = out["n_dups"].astype(np.int64)
-        return out
+        return out.astype({"n_docs": np.int64, "n_dups": np.int64})
 
-    def combine(g: pd.DataFrame) -> pd.DataFrame:
-        n = int(g["n_docs"].sum())
-        d = int(g["n_dups"].sum())
-        return pd.DataFrame(
-            {
-                "source": [g["source"].iloc[0]],
-                "n_docs": np.array([n], np.int64),
-                "n_dups": np.array([d], np.int64),
-                "dup_micros": np.array([(d * 1_000_000) // n], np.int64),
-            }
-        )
+    def combine(parts: pd.DataFrame) -> pd.DataFrame:
+        out = parts.groupby("source", as_index=False)[["n_docs", "n_dups"]].sum()
+        out["dup_micros"] = (out["n_dups"] * 1_000_000) // out["n_docs"]
+        return out.astype({"n_docs": np.int64, "n_dups": np.int64, "dup_micros": np.int64})
 
-    def bucket_col(batch: pa.Table) -> pa.Table:
-        crc = np.array(
-            [zlib.crc32(h.encode()) for h in batch.column("text_hash").to_pylist()],
-            np.int64,
-        )
-        return batch.append_column("bkt", pa.array((crc % 64).astype(np.int32)))
-
-    return (
-        _docs(sf_dir, ["doc_id", "text", "source"])
-        .map_batches(add_hash, batch_format="pyarrow", zero_copy_batch=True)
-        .map_batches(bucket_col, batch_format="pyarrow", zero_copy_batch=True)
-        .groupby("bkt")
-        .map_groups(arrow_udf(group_partials), batch_format="pandas")
-        .groupby("source")
-        .map_groups(arrow_udf(combine), batch_format="pandas")
+    docs = _docs(sf_dir, ["doc_id", "text", "source"]).map_batches(
+        add_hash, batch_format="pyarrow", zero_copy_batch=True
     )
+    return co_group(combine, parts=(co_group(group_partials, docs=(docs, "h")), None))
 
 
 DEDUP_CURVE_THRESHOLDS = (500, 600, 700, 800, 900)
@@ -2090,40 +1673,30 @@ def dedup_threshold_curve(sf_dir: str) -> rd.Dataset:
     histogram partials over the verified scores.  Overflow marker rows
     are excluded (absent on the oracle corpora).
 
-    Scale shape: the minhash_dedup exchanges plus one constant-key
-    5-row fold — the curve costs one threshold run, not five."""
-    import pandas as pd
+    Scale shape: the minhash_dedup exchanges plus one keyless
+    :func:`~.join.co_group` 5-row fold — the curve costs one threshold
+    run, not five."""
+    from .join import co_group
 
-    lo = min(DEDUP_CURVE_THRESHOLDS)
-    pairs = minhash_dedup(sf_dir, threshold_millis=lo)
+    pairs = minhash_dedup(sf_dir, threshold_millis=min(DEDUP_CURVE_THRESHOLDS))
 
     def partials(batch: pa.Table) -> pa.Table:
         a = batch.column("doc_id_a").to_numpy(zero_copy_only=False)
         jm = batch.column("jaccard_millis").to_numpy(zero_copy_only=False)
         jm = jm[a >= 0]  # markers out
-        counts = [int((jm >= t).sum()) for t in DEDUP_CURVE_THRESHOLDS]
-        n = len(DEDUP_CURVE_THRESHOLDS)
         return pa.table(
             {
-                "fin": pa.array(np.zeros(n, np.int8)),
-                "t": pa.array(
+                "threshold_millis": pa.array(
                     np.array(DEDUP_CURVE_THRESHOLDS, np.int64)
                 ),
-                "n": pa.array(np.array(counts, np.int64)),
+                "n_pairs": pa.array(
+                    np.array([(jm >= t).sum() for t in DEDUP_CURVE_THRESHOLDS], np.int64)
+                ),
             }
         )
 
-    def fold(g: pd.DataFrame) -> pd.DataFrame:
-        out = g.groupby("t", as_index=False)["n"].sum()
-        return pd.DataFrame(
-            {
-                "threshold_millis": out["t"].to_numpy(np.int64),
-                "n_pairs": out["n"].to_numpy(np.int64),
-            }
-        )
+    def fold(parts: pd.DataFrame) -> pd.DataFrame:
+        return parts.groupby("threshold_millis", as_index=False)["n_pairs"].sum()
 
-    return (
-        pairs.map_batches(partials, batch_format="pyarrow", zero_copy_batch=True)
-        .groupby("fin")
-        .map_groups(arrow_udf(fold), batch_format="pandas")
-    )
+    counts = pairs.map_batches(partials, batch_format="pyarrow", zero_copy_batch=True)
+    return co_group(fold, parts=(counts, None))

@@ -562,8 +562,7 @@ def host_page_cap(
     import pyarrow.compute as pc
 
     def narrow(batch: pa.Table) -> pa.Table:
-        from .dedup import _COARSE_BUCKETS
-        from .io_util import coarse_key, host_of
+        from .io_util import _COARSE_BUCKETS, coarse_key, host_of
 
         hosts = host_of(batch.column("url"))
         coarse = coarse_key(hosts, _COARSE_BUCKETS)

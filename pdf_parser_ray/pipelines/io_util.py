@@ -66,6 +66,13 @@ def host_of(urls) -> "pa.Array":
     return pc.fill_null(pc.struct_field(m, "host"), "")
 
 
+# Bucket count of the string-keyed coarse exchanges that still route by
+# hand (curate.py's exact_dup_drops and curate_pages, extract.py's
+# host_page_cap): one coarse group holds ~rows/buckets NARROW rows and
+# is processed as one vectorized pandas group.
+_COARSE_BUCKETS = 256
+
+
 def coarse_key(strings, buckets: int, offset: int = 0):
     """Vectorized coarse shuffle key for a batch of strings (int32
     numpy array; ``offset`` shifts into a disjoint key range for

@@ -9,12 +9,13 @@
   driver-side dict (the round-1 ``orders_by_nation`` built a
   customer-sized dict on the driver — VERDICT r01 'What's wrong' #6).
 
-Every multi-input exchange here and in relational.py, and every keyed
-or final-combine exchange here, in relational.py and in analysis.py,
-goes through :func:`co_group`, the one co-shuffle primitive: a keyed
-side is hashed into ``_DEFAULT_BUCKETS`` groups, a side keyed ``None``
-is one group (the final combine runs once), and a bucket with no rows
-on any side never reaches the group function.  Inner-join semantics: fact rows
+Every multi-input exchange here, in relational.py and in dedup.py, and
+every keyed or final-combine exchange here, in relational.py,
+analysis.py, dedup.py and similarity.py, goes through
+:func:`co_group`, the one co-shuffle primitive: a keyed side is hashed
+into ``_DEFAULT_BUCKETS`` groups, a side keyed ``None`` is one group
+(the final combine runs once), and a bucket with no rows on any side
+never reaches the group function.  Inner-join semantics: fact rows
 without a dim match are dropped.  Partitioning assumption: one
 bucket's rows fit in a group (keys are hashed, so only a single
 pathological hot key can skew a bucket).

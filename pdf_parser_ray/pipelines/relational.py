@@ -735,8 +735,8 @@ def _dim_rollup(
     """Joined rollup in ONE data exchange: fact partial rows
     ``(key, *sum_cols)`` and dim rows ``(dim_key, dim_val)`` meet in one
     :func:`co_group` bucket per key, each bucket merges and collapses
-    to ≤|distinct dim_val| partial rows, and a final ``out_key``
-    combine sums the ≤ buckets×|vals| leftovers.  Replaces the
+    to ≤|distinct dim_val| partial rows, and a keyless co_group sums
+    the ≤ buckets×|vals| leftovers per ``out_key``.  Replaces the
     pre-agg-groupby → attach_dim-sort → global-aggregate plan whose
     THREE AllToAll passes each carried seconds of fixed overhead
     (brand_revenue measured 15.3 s at sf0.1; Ray's AggregateMap alone
@@ -771,15 +771,12 @@ def _dim_rollup(
             agg[distinct_alias] = grp[key].nunique()
         return agg.reset_index()[[out_key, *out_aliases]].astype(int_cols)
 
-    def final(g: pd.DataFrame) -> pd.DataFrame:
-        out = g.groupby(out_key, as_index=False, sort=False)[out_aliases].sum()
+    def final(parts: pd.DataFrame) -> pd.DataFrame:
+        out = parts.groupby(out_key, as_index=False, sort=False)[out_aliases].sum()
         return out.astype(int_cols)
 
-    return (
-        co_group(combine, fact=(fact, key), dim=(dim, dim_key))
-        .groupby(out_key)
-        .map_groups(arrow_udf(final), batch_format="pandas")
-    )
+    parts = co_group(combine, fact=(fact, key), dim=(dim, dim_key))
+    return co_group(final, parts=(parts, None))
 
 
 def _lineitem_revenue_partials(sf_dir: str, key: str) -> rd.Dataset:
@@ -1794,7 +1791,7 @@ def order_priority_counts(sf_dir: str) -> rd.Dataset:
     is one orderkey :func:`co_group` of 16-byte rows against order
     (okey, priority, odate) rows; each bucket applies the
     max_ship > odate gate and collapses to ≤ priorities partial counts;
-    a final priority-keyed combine folds buckets × 5 rows."""
+    a keyless co_group folds the buckets × 5 rows per priority."""
     import pandas as pd
 
     def li_partials(batch: pa.Table) -> pa.Table:
@@ -1813,23 +1810,15 @@ def order_priority_counts(sf_dir: str) -> rd.Dataset:
             {"n_orders": np.int64}
         )
 
-    def combine(g: pd.DataFrame) -> pd.DataFrame:
-        return pd.DataFrame(
-            {
-                "o_orderpriority": [g["o_orderpriority"].iloc[0]],
-                "n_orders": np.array([g["n_orders"].sum()], np.int64),
-            }
-        )
+    def combine(counts: pd.DataFrame) -> pd.DataFrame:
+        return counts.groupby("o_orderpriority", as_index=False)["n_orders"].sum()
 
     li = _t(sf_dir, "lineitem", ["l_orderkey", "l_shipdate"]).map_batches(
         li_partials, batch_format="pyarrow", zero_copy_batch=True
     )
     ords = _t(sf_dir, "orders", ["o_orderkey", "o_orderdate", "o_orderpriority"])
-    return (
-        co_group(gate, li=(li, "l_orderkey"), orders=(ords, "o_orderkey"))
-        .groupby("o_orderpriority")
-        .map_groups(arrow_udf(combine), batch_format="pandas")
-    )
+    counts = co_group(gate, li=(li, "l_orderkey"), orders=(ords, "o_orderkey"))
+    return co_group(combine, counts=(counts, None))
 
 
 # -- exact order-value quantiles per market segment ----------------------------
@@ -2651,7 +2640,7 @@ def market_share(sf_dir: str) -> rd.Dataset:
     before it moves: partkey (type semi-join) → orderkey (attach order
     year + custkey) → custkey (region semi-join, collapse to
     per-(suppkey, year)) → suppkey (attach supplier nation).  After
-    exchange 3 rows are bounded by suppliers × years; the final
+    exchange 3 rows are bounded by suppliers × years; the keyless
     per-year combine and the share division run on a handful of
     rows."""
     import pandas as pd
@@ -2718,18 +2707,18 @@ def market_share(sf_dir: str) -> rd.Dataset:
         df = pd.DataFrame({"o_year": m["o_year"], "total": m["rev"], "nat": nat})
         return df.groupby("o_year", as_index=False).sum().astype(np.int64)
 
-    def combine(g: pd.DataFrame) -> pd.DataFrame:
-        total = np.int64(g["total"].sum())
-        nat = np.int64(g["nat"].sum())
-        share = np.int64(0) if total == 0 else np.int64(
-            (int(nat) * 1_000_000) // int(total)
-        )
+    def combine(years: pd.DataFrame) -> pd.DataFrame:
+        out = years.groupby("o_year", as_index=False)[["total", "nat"]].sum()
+        share = [
+            0 if t == 0 else (n * 1_000_000) // t
+            for t, n in zip(out["total"].tolist(), out["nat"].tolist())
+        ]
         return pd.DataFrame(
             {
-                "o_year": [np.int64(g["o_year"].iloc[0])],
-                "total_cc": [total],
-                "nation_cc": [nat],
-                "share_micros": [share],
+                "o_year": out["o_year"].to_numpy(np.int64),
+                "total_cc": out["total"].to_numpy(np.int64),
+                "nation_cc": out["nat"].to_numpy(np.int64),
+                "share_micros": np.array(share, np.int64),
             }
         )
 
@@ -2748,11 +2737,8 @@ def market_share(sf_dir: str) -> rd.Dataset:
     li = co_group(semi_part, li=(li, "l_partkey"), part=(parts, "p_partkey"))
     li = co_group(attach_order, li=(li, "l_orderkey"), orders=(ords, "o_orderkey"))
     li = co_group(semi_region, lo=(li, "o_custkey"), cust=(cust, "c_custkey"))
-    return (
-        co_group(fold_share, ly=(li, "l_suppkey"), supp=(supp, "s_suppkey"))
-        .groupby("o_year")
-        .map_groups(arrow_udf(combine), batch_format="pandas")
-    )
+    years = co_group(fold_share, ly=(li, "l_suppkey"), supp=(supp, "s_suppkey"))
+    return co_group(combine, years=(years, None))
 
 
 # -- inter-event arrival-gap quantiles -------------------------------------------
@@ -4127,18 +4113,13 @@ def revenue_concentration(sf_dir: str) -> rd.Dataset:
 
     per_cust = _customer_rev_grid(sf_dir)
 
-    def cell_moments(g: pd.DataFrame) -> pd.DataFrame:
-        return pd.DataFrame(
-            {
-                "gkey": np.array([int(g["gkey"].iloc[0])], np.int64),
-                "n": np.array([len(g)], np.int64),
-                "s": np.array([int(g["rev"].sum())], np.int64),
-            }
-        )
+    def cell_moments(cust: pd.DataFrame) -> pd.DataFrame:
+        return cust.groupby("gkey", as_index=False).agg(
+            n=("rev", "size"), s=("rev", "sum")
+        ).astype(np.int64)
 
     grid = (
-        per_cust.groupby("gkey")
-        .map_groups(arrow_udf(cell_moments), batch_format="pandas")
+        co_group(cell_moments, cust=(per_cust, None))
         .to_pandas()
         .sort_values("gkey", ascending=False)
         .reset_index(drop=True)
@@ -4154,8 +4135,8 @@ def revenue_concentration(sf_dir: str) -> rd.Dataset:
         n_before += int(row["n"])
         s_before += int(row["s"])
 
-    def resolve(g: pd.DataFrame) -> pd.DataFrame:
-        g = g.sort_values(["rev", "ck"], ascending=[False, True])
+    def resolve(cell: pd.DataFrame) -> pd.DataFrame:
+        g = cell.sort_values(["rev", "ck"], ascending=[False, True])
         cum = s_before + g["rev"].to_numpy(np.int64).cumsum()
         pos = int(
             np.argmax(CONC_PCT_DEN * cum >= CONC_PCT_NUM * s_total)
@@ -4175,11 +4156,7 @@ def revenue_concentration(sf_dir: str) -> rd.Dataset:
             }
         )
 
-    return (
-        per_cust.filter(expr=f"gkey == {g_star}")
-        .groupby("gkey")
-        .map_groups(arrow_udf(resolve), batch_format="pandas")
-    )
+    return co_group(resolve, cell=(per_cust.filter(expr=f"gkey == {g_star}"), None))
 
 
 # -- Poisson bootstrap over the deterministic shuffle hash ----------------------

@@ -755,15 +755,16 @@ def cosine_band_histogram(sf_dir: str) -> rd.Dataset:
     corpus concentrates near band 0; mass in the top bands means
     duplicated or collapsed embeddings — without computing O(n²) pairs.
 
-    Scale shape: 1 + |offsets| copies of each (id, q) row co-shuffle on
-    the LEFT id's bucket, so every sampled pair meets in exactly one
-    group; per-group dots are one stacked numpy matmul row-product;
-    band partials then fold on a constant key.  The exchange is linear
-    in corpus size × (1 + |offsets|) — the price of sampled pairwise
-    statistics without an index."""
+    Scale shape: 1 + |offsets| copies of each (id, q) row meet in one
+    :func:`~.join.co_group` keyed on the LEFT id, so every sampled pair
+    meets in exactly one group; per-group dots are one stacked numpy
+    matmul row-product; band partials then fold in a keyless co_group.
+    The exchange is linear in corpus size × (1 + |offsets|) — the
+    price of sampled pairwise statistics without an index."""
     import pandas as pd
 
-    buckets = 64
+    from .join import co_group
+
     emb_path = os.path.join(sf_dir, "embeddings.parquet")
     a = _quant_scale(sf_dir)
     n = int(
@@ -773,87 +774,52 @@ def cosine_band_histogram(sf_dir: str) -> rd.Dataset:
     def copies(batch: pa.Table) -> pa.Table:
         ids, vecs = _ids_vecs(batch)
         q = _quantize(vecs, a)
-        out_left, out_role, out_id, out_q = [], [], [], []
-        # the vector itself (left of its pairs)
-        out_left.append(ids)
-        out_role.append(np.zeros(len(ids), np.int64))
-        out_id.append(ids)
-        out_q.append(q)
-        for off in SIM_OFFSETS:
-            left = (ids - off) % n
-            out_left.append(left)
-            out_role.append(np.full(len(ids), off, np.int64))
-            out_id.append(ids)
-            out_q.append(q)
-        left = np.concatenate(out_left)
+        # role 0: the vector itself (left of its pairs); role o: the
+        # right partner of vec_id (i - o) mod n
+        offs = (0, *SIM_OFFSETS)
+        lefts = [ids, *((ids - o) % n for o in SIM_OFFSETS)]
         return pa.table(
             {
-                "bkt": pa.array((left % buckets).astype(np.int32)),
-                "left": pa.array(left),
-                "role": pa.array(np.concatenate(out_role)),
-                "vid": pa.array(np.concatenate(out_id)),
-                "q": pa.array(np.concatenate(out_q, axis=0).tolist()),
+                "left": pa.array(np.concatenate(lefts)),
+                "role": pa.array(np.repeat(np.array(offs, np.int64), len(ids))),
+                "q": pa.array(np.concatenate([q] * len(offs), axis=0).tolist()),
             }
         )
 
-    def band_partials(g: pd.DataFrame) -> pa.Table:
-        lefts = g[g["role"] == 0]
+    def band_partials(rows: pd.DataFrame) -> pa.Table:
+        lefts = rows[rows["role"] == 0]
         lq = {
             int(i): np.asarray(v, np.int64)
             for i, v in zip(lefts["left"], lefts["q"])
         }
         bands = []
-        for off in SIM_OFFSETS:
-            p = g[g["role"] == off]
-            for li, v in zip(p["left"], p["q"]):
-                left_q = lq.get(int(li))
-                if left_q is None:
-                    continue  # ring partner of an id past the corpus end
-                qdot = int(left_q @ np.asarray(v, np.int64))
-                bands.append(
-                    (qdot + _SIM_BAND_SHIFT) // SIM_BAND_STEP
-                    - _SIM_BAND_SHIFT // SIM_BAND_STEP
-                )
-        if not bands:
-            return pa.table(
-                {
-                    "fin": pa.array([], pa.int8()),
-                    "band": pa.array([], pa.int64()),
-                    "n_pairs": pa.array([], pa.int64()),
-                }
+        partners = rows[rows["role"] != 0]
+        for li, v in zip(partners["left"], partners["q"]):
+            left_q = lq.get(int(li))
+            if left_q is None:
+                continue  # ring partner of an id past the corpus end
+            qdot = int(left_q @ np.asarray(v, np.int64))
+            bands.append(
+                (qdot + _SIM_BAND_SHIFT) // SIM_BAND_STEP
+                - _SIM_BAND_SHIFT // SIM_BAND_STEP
             )
         vals, cnts = np.unique(np.array(bands, np.int64), return_counts=True)
         return pa.table(
             {
-                "fin": pa.array(np.zeros(len(vals), np.int8)),
-                "band": pa.array(vals),
+                "band": pa.array(vals, pa.int64()),
                 "n_pairs": pa.array(cnts.astype(np.int64)),
             }
         )
 
-    def final(g: pd.DataFrame) -> pa.Table:
-        agg = g.groupby("band", as_index=False)["n_pairs"].sum()
-        return pa.table(
-            {
-                "band": pa.array(agg["band"].to_numpy(np.int64)),
-                "n_pairs": pa.array(agg["n_pairs"].to_numpy(np.int64)),
-            }
-        )
+    def final(parts: pd.DataFrame) -> pd.DataFrame:
+        return parts.groupby("band", as_index=False)["n_pairs"].sum()
 
-    from .io_util import arrow_udf
-
-    return (
-        read_parquet_clean(
-            emb_path,
-            columns=["vec_id", "embedding"],
-            override_num_blocks=_blocks_for(emb_path),
-        )
-        .map_batches(copies, batch_format="pyarrow", zero_copy_batch=True)
-        .groupby("bkt")
-        .map_groups(arrow_udf(band_partials), batch_format="pandas")
-        .groupby("fin")
-        .map_groups(arrow_udf(final), batch_format="pandas")
-    )
+    rows = read_parquet_clean(
+        emb_path,
+        columns=["vec_id", "embedding"],
+        override_num_blocks=_blocks_for(emb_path),
+    ).map_batches(copies, batch_format="pyarrow", zero_copy_batch=True)
+    return co_group(final, parts=(co_group(band_partials, rows=(rows, "left")), None))
 
 
 # -- batched multi-query kNN join ---------------------------------------------

@@ -137,11 +137,12 @@ import pytest
 @pytest.mark.parametrize(
     "name,n_rows,md5",
     [
-        # 2471 = 2458 pairs + 13 overflow marker rows: identical-sig
-        # classes in the hot band buckets of this near-identical corpus
-        # are RECOVERED uncapped (overflow re-banding, VERDICT r03 ask
-        # #3); the markers account the remaining cross-sig truncation
-        ("simhash_dedup", 2471, "2fef9a7422e463e10c982ec9c6926789"),
+        # 2482 = 2458 pairs + 24 overflow marker rows, one per
+        # overflowed band_hash: identical-sig classes in the hot band
+        # buckets of this near-identical corpus are RECOVERED uncapped
+        # (overflow re-banding, VERDICT r03 ask #3); the markers account
+        # the remaining cross-sig truncation
+        ("simhash_dedup", 2482, "7a131e4e30cea69beede3b1f927f4587"),
         ("embedding_dedup", 45, "840cd7c4f22c3dba67e2e56e61b56168"),
         ("ngram_jaccard_dedup", 107, "511646403753ccbbc7dd8eb8b986cc80"),
         # identical to ngram at this scale: no pair falls in the
@@ -164,6 +165,10 @@ def test_near_dup_outputs_pinned_golden(
     got = hashlib.md5(df.reset_index(drop=True).to_csv(index=False).encode())
     assert len(df) == n_rows, name
     assert got.hexdigest() == md5, name
+    if name == "simhash_dedup":
+        # every unexamined candidate pair is accounted: the markers sum
+        # to the SQL mirror's total
+        assert int(df.loc[df["doc_id_a"] < 0, "hamming"].sum()) == 59_772
 
 
 def test_candidate_stage_complete_vs_brute_force(ray_session, quiet_data_context):

@@ -78,6 +78,11 @@ def test_oracle_match(ray_session, quiet_data_context, name):
         "pmi_bigrams",
         "vocab_coverage",
         "cosupplier_edges",
+        "simhash_dedup",
+        "minhash_dedup",
+        "incremental_dedup",
+        "cross_source_overlap",
+        "cosine_band_histogram",
     ],
 )
 def test_oracle_match_small_blocks(small_blocks, name):

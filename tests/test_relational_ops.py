@@ -2094,7 +2094,9 @@ class TestValueFivenum:
 
 
 class TestRoutingGuard:
-    @pytest.mark.parametrize("module", ["relational", "analysis", "join"])
+    @pytest.mark.parametrize(
+        "module", ["relational", "analysis", "join", "dedup", "similarity"]
+    )
     def test_no_hand_built_routing_columns(self, module):
         """Every routing exchange goes through join.co_group: no
         hash-bucket or constant-key column is built by hand to feed a
@@ -2112,10 +2114,13 @@ class TestRoutingGuard:
             for fn in (mod.co_group, mod._key_bucket, mod.build_bucketed):
                 src = src.replace(inspect.getsource(fn), "")
         hits = re.findall(
-            r'groupby\(\s*"(?:bkt|coarse|coarse2|pbkt|dbkt|fin)"\s*\)', src
+            r'groupby\(\s*"(?:bkt|coarse|coarse2|pbkt|dbkt|fin|key|vkey|dkey)"\s*\)',
+            src,
         )
         hits += re.findall(
-            r"%\s*buckets\b|\bcoarse_buckets\b|\b_PMI_COARSE\b|\b_VOCAB_BUCKETS\b",
+            r"%\s*buckets\b|\bcoarse_buckets\b|\b_PMI_COARSE\b|\b_VOCAB_BUCKETS\b"
+            r"|\b_COARSE_BUCKETS\b|\b_JOIN_BUCKETS\b|\b_id_bucket\b"
+            r"|\bGRAFT_COARSE_BUCKETS\b",
             src,
         )
         assert hits == []
